@@ -22,10 +22,11 @@ from .analysis import (APReport, AnalysisError, ClusterReport,
                        weighted_pointwise_error)
 from .discretize import (DiscretizationError, InitialDensity, MutationCheck,
                          PROFILES, ParticleEnsemble, SpacingError,
-                         SpacingReport, build_profile, check_spacing,
-                         check_mutation_discretization, partition_support)
+                         SpacingReport, active_box, build_profile,
+                         check_spacing, check_mutation_discretization,
+                         partition_support)
 from .dynamics import (IntegrationError, MonitorReport, RunConfig, Trajectory,
-                       active_box, default_dt, integrate, rhs)
+                       default_dt, integrate, rhs)
 from .model import (MODELS, Box, EvaluationError, Kernel, ModelSpec,
                     ValidationEntry, ValidationReport, build_model,
                     constant_kernel, eval_divergence, eval_nonlocal,

@@ -28,7 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .discretize import InitialDensity, ParticleEnsemble, active_box, partition_support
+from .discretize import (InitialDensity, ParticleEnsemble, _bump_1d,
+                         active_box, partition_support)
 from .dynamics import RunConfig, Trajectory, integrate
 from .model import Box, ModelSpec, pair_sum
 from .reference import ReferenceSolution
@@ -306,21 +307,12 @@ def check_dirac_necessary_conditions(model: ModelSpec, clusters,
 # weak measure gap and the preservation verdict
 
 
-def _bump(x: np.ndarray, center: float, width: float) -> np.ndarray:
-    u = (x - center) / width
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
-
-
 def default_test_functions(lo: float, hi: float, count: int = 7):
     """Fixed family of smooth bumps spread over [lo, hi] (1D)."""
     centers = lo + (np.arange(count) + 0.5) * (hi - lo) / count
     width = (hi - lo) / count
     return [
-        (lambda x, c=c, w=width: _bump(np.asarray(x, dtype=float), c, w))
+        (lambda x, c=c, w=width: _bump_1d((np.asarray(x, dtype=float) - c) / w))
         for c in centers
     ]
 

@@ -3,7 +3,8 @@
 Subcommands
 -----------
 simulate   one particle run from a config; time series, final state, report
-converge   an h-sweep measured against the grid reference; fitted orders
+converge   an h-sweep measured against the grid reference (local advection)
+           or against a run at half the finest h (non-local); fitted orders
 asymptote  long-horizon N-sweep; cluster reports and a preservation verdict
 reproduce  built-in four-scenario long-run suite
 
@@ -29,13 +30,14 @@ import numpy as np
 
 from .analysis import (ap_verdict, check_dirac_necessary_conditions,
                        default_test_functions, detect_limit_clusters,
-                       fit_convergence_order, predict_limit_mass,
-                       weak_measure_gap, weighted_pointwise_error)
+                       fit_convergence_order, particle_self_convergence,
+                       predict_limit_mass, weak_measure_gap,
+                       weighted_pointwise_error)
 from .discretize import ParticleEnsemble, build_profile, partition_support
 from .dynamics import RunConfig, integrate
 from .model import build_model
-from .reference import (ReferenceConfig, ReferenceSolution, l1_distance,
-                        refine_until_stable, solve_reference)
+from .reference import (ReferenceConfig, l1_distance, refine_until_stable,
+                        solve_reference)
 from .regularize import build_cutoff, epsilon_rule, reconstruct
 from .svgplot import PlotSeries, line_plot
 
@@ -157,24 +159,18 @@ def build_objects(cfg: configparser.ConfigParser):
 
 
 def _run_config(cfg, t_final: float) -> RunConfig:
-    dt = cfg.get("time", "dt", fallback=None)
-    snap = cfg.get("time", "snapshot_every", fallback=None)
+    snap = _opt_num(cfg, "time", "snapshot_every")
     return RunConfig(
-        t_final=t_final,
-        dt=None if dt is None else _num(dt),
-        snapshot_every=None if snap is None else int(_num(snap)),
+        t_final=t_final, dt=_opt_num(cfg, "time", "dt"),
+        snapshot_every=None if snap is None else int(snap),
         record_series=_get_bool(cfg, "time", "record_series", True))
 
 
 def _oracle_config(cfg) -> ReferenceConfig:
     sec = cfg["oracle"]
-    kwargs = {}
-    if "fixed_point_tol" in sec:
-        kwargs["fixed_point_tol"] = _num(sec["fixed_point_tol"])
-    if "max_fixed_point_iter" in sec:
-        kwargs["max_fixed_point_iter"] = int(_num(sec["max_fixed_point_iter"]))
-    if "min_dt" in sec:
-        kwargs["min_dt"] = _num(sec["min_dt"])
+    optional = {"fixed_point_tol": _num, "min_dt": _num,
+                "max_fixed_point_iter": lambda s: int(_num(s))}
+    kwargs = {k: parse(sec[k]) for k, parse in optional.items() if k in sec}
     return ReferenceConfig(
         x_lo=_num(sec["x_lo"]), x_hi=_num(sec["x_hi"]),
         dx=_num(sec["dx"]), dt=_num(sec["dt"]), **kwargs)
@@ -245,47 +241,29 @@ def _state_rows(ens: ParticleEnsemble):
     return header, rows
 
 
-def _monitor_pairs(traj):
-    mon = traj.monitors
-    return [
-        ("mass_bound", mon.mass_bound),
-        ("mass_excess_max", mon.mass_excess_max),
-        ("support_excess_max", mon.support_excess_max),
-        ("w_min", mon.w_min),
-        ("nu_min", mon.nu_min),
-        ("monitors_ok", mon.ok),
-    ]
+def _monitor_pairs(mon, extremes: bool = True):
+    """Monitor report pairs; `extremes` adds the smallest w and nu seen."""
+    pairs = [("mass_bound", mon.mass_bound),
+             ("mass_excess_max", mon.mass_excess_max),
+             ("support_excess_max", mon.support_excess_max)]
+    if extremes:
+        pairs += [("w_min", mon.w_min), ("nu_min", mon.nu_min)]
+    return pairs + [("monitors_ok", mon.ok)]
 
 
 # ---------------------------------------------------------------------------
 # sweep workers (module level so they pickle)
 
 
-def _cfg_to_dict(cfg) -> dict:
-    return {s: dict(cfg[s]) for s in cfg.sections()}
-
-
-def _dict_to_cfg(data: dict) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser(interpolation=None)
-    for section, values in data.items():
-        cfg[section] = dict(values)
-    return cfg
-
-
 def _converge_member(payload):
     """One h of the convergence sweep; errors against the shipped oracle."""
-    data, h, sol_x, sol_v, sol_dx, t_final = payload
-    cfg = _dict_to_cfg(data)
+    cfg, h, sol, t_final = payload
     profile, model, cutoff = build_objects(cfg)
     ens0 = partition_support(profile, model, h, t_final)
     traj = integrate(model, ens0, _run_config(cfg, t_final))
     fin = traj.final
-    sol = ReferenceSolution(
-        x=sol_x, v=sol_v, t_final=t_final, dx=sol_dx, dt=0.0,
-        rho_times=np.zeros(1), rho_values=np.zeros(1), min_value=0.0,
-        fixed_point_iters_max=0, subdivisions=0)
     eps = _epsilon(cfg, h)
-    recon = reconstruct(fin, cutoff, eps, sol_x)
+    recon = reconstruct(fin, cutoff, eps, sol.x)
     return (h, eps, fin.n,
             l1_distance(sol, recon),
             weighted_pointwise_error(fin, sol),
@@ -296,8 +274,7 @@ def _converge_member(payload):
 def _asymptote_member(payload):
     """One N of the long-horizon sweep; clusters found in the worker, the
     gap against the oracle is computed by the parent."""
-    data, n, t_final = payload
-    cfg = _dict_to_cfg(data)
+    cfg, n, t_final = payload
     profile, model, cutoff = build_objects(cfg)
     h = 1.0 / float(n)
     ens0 = partition_support(profile, model, h, t_final)
@@ -307,31 +284,40 @@ def _asymptote_member(payload):
         window=_opt_num(cfg, "asymptote", "window"),
         pos_tol=_opt_num(cfg, "asymptote", "pos_tol"),
         mass_tol=_num(cfg.get("asymptote", "mass_tol", fallback="1e-3")))
-    fin = traj.final
-    return (int(n), h, fin.positions, fin.volumes, fin.intensities,
-            fin.h, rep, traj.monitors)
+    return int(n), h, traj.final, rep, traj.monitors
 
 
 def _reproduce_member(payload):
     """One scenario of the built-in suite."""
-    name, profile_name, profile_params, model_params, n, t_final = payload
+    (name, profile_name, profile_params, model_params), n, t_final = payload
     profile = build_profile(profile_name, **profile_params)
     model = build_model("advsel1d", profile.support, **model_params)
     ens0 = partition_support(profile, model, 1.0 / n, t_final)
     traj = integrate(model, ens0, RunConfig(t_final=t_final))
     rep = detect_limit_clusters(traj)
-    clusters = [(np.asarray(c, dtype=float), float(m))
-                for c, m in rep.clusters]
-    residuals = check_dirac_necessary_conditions(model, clusters) \
-        if clusters else []
-    predicted = None
-    if clusters:
-        main = max(clusters, key=lambda cm: cm[1])
-        predicted = predict_limit_mass(model, main[0])
+    _main, predicted, summary = _cluster_summary(model, rep)
     keys, series = _series_rows(traj)
     header, state = _state_rows(traj.final)
-    return (name, traj.final.mass(), rep, residuals, predicted,
+    return (name, traj.final.mass(), rep, summary, predicted,
             keys, series, header, state, traj.monitors)
+
+
+def _cluster_summary(model, rep):
+    """Heaviest cluster (center, mass), its predicted limit mass, and the
+    report pairs ``predicted_limit_mass`` and ``clusterK_*_residual``;
+    (None, None, []) without clusters."""
+    if not rep.clusters:
+        return None, None, []
+    clusters = [(np.asarray(c, dtype=float), float(m))
+                for c, m in rep.clusters]
+    main = max(clusters, key=lambda cm: cm[1])
+    predicted = predict_limit_mass(model, main[0])
+    pairs = [("predicted_limit_mass", predicted)]
+    for k, res in enumerate(check_dirac_necessary_conditions(model, clusters)):
+        pairs.append((f"cluster{k}_advection_residual",
+                      res.advection_residual))
+        pairs.append((f"cluster{k}_growth_residual", res.growth_residual))
+    return main, predicted, pairs
 
 
 def _opt_num(cfg, section, option):
@@ -368,16 +354,16 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
     snap_header = ["t"] + header
     snap_rows = []
     for snap in traj.snapshots:
-        hdr, srows = _state_rows(snap)
-        snap_rows.extend([[snap.time] + r for r in srows])
+        snap_rows.extend([snap.time] + r for r in _state_rows(snap)[1])
     write_csv(os.path.join(out, "snapshots.csv"), snap_header, snap_rows)
 
     report = [("n_particles", fin.n), ("h", h), ("dt", traj.dt),
               ("n_steps", traj.n_steps), ("t_final", t_final),
               ("initial_mass", ens0.mass()), ("final_mass", fin.mass())]
-    report.extend(_monitor_pairs(traj))
+    report.extend(_monitor_pairs(traj.monitors))
 
     eps = _epsilon(cfg, h)
+    plots = []
     if _get_bool(cfg, "oracle", "enabled", False):
         if model.dim != 1:
             raise UsageError("the grid reference covers 1D models only")
@@ -389,43 +375,40 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
             ("l1_error", l1_distance(sol, recon)),
             ("weighted_error", weighted_pointwise_error(fin, sol)),
         ])
-        line_plot(
-            os.path.join(out, "density.svg"),
-            [PlotSeries("reconstruction", sol.x, recon),
-             PlotSeries("reference", sol.x, sol.v)],
-            title=f"{model.name} at t={t_final:g}",
-            xlabel="x", ylabel="density")
+        plots = [PlotSeries("reconstruction", sol.x, recon),
+                 PlotSeries("reference", sol.x, sol.v)]
     elif model.dim == 1:
         lo = float(profile.support.lo[0]) - cutoff.radius * eps
         hi = float(profile.support.hi[0]) + model.a_sup * t_final \
             + cutoff.radius * eps
         grid = lo + (eps / 4.0) * np.arange(
             int(np.ceil((hi - lo) / (eps / 4.0))) + 1)
-        recon = reconstruct(fin, cutoff, eps, grid)
-        line_plot(
-            os.path.join(out, "density.svg"),
-            [PlotSeries("reconstruction", grid, recon)],
-            title=f"{model.name} at t={t_final:g}",
-            xlabel="x", ylabel="density")
+        plots = [PlotSeries("reconstruction", grid,
+                            reconstruct(fin, cutoff, eps, grid))]
+    if plots:
+        line_plot(os.path.join(out, "density.svg"), plots,
+                  title=f"{model.name} at t={t_final:g}",
+                  xlabel="x", ylabel="density")
 
     write_report(os.path.join(out, "report.txt"), report)
-    write_manifest(cfg, os.path.join(out, "manifest.cfg"))
     return 0
 
 
 def cmd_converge(cfg, out: str, workers: int) -> int:
     profile, model, cutoff = build_objects(cfg)
     if model.dim != 1:
-        raise UsageError("converge needs a 1D model (grid reference)")
+        raise UsageError("converge needs a 1D model")
     t_final = _num(cfg.get("time", "t_final"))
     h_list = _num_list(cfg.get("converge", "h_list"))
     if sorted(set(h_list), reverse=True) != h_list:
         raise UsageError("[converge] h_list must be strictly decreasing")
+    if not model.is_local:
+        return _self_converge(cfg, out, profile, model, cutoff, t_final,
+                              h_list)
 
     sol = solve_reference(model, profile, _oracle_config(cfg), t_final)
-    data = _cfg_to_dict(cfg)
-    payloads = [(data, h, sol.x, sol.v, sol.dx, t_final) for h in h_list]
-    members = _pool_map(_converge_member, payloads, workers)
+    members = _pool_map(_converge_member,
+                        [(cfg, h, sol, t_final) for h in h_list], workers)
 
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "errors.csv"),
@@ -433,8 +416,11 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
                "mass_excess", "support_excess"],
               members)
 
-    l1_fit = fit_convergence_order([(m[0], m[3]) for m in members])
-    w_fit = fit_convergence_order([(m[0], m[4]) for m in members])
+    hs = [m[0] for m in members]
+    l1 = [m[3] for m in members]
+    weighted = [m[4] for m in members]
+    l1_fit = fit_convergence_order(list(zip(hs, l1)))
+    w_fit = fit_convergence_order(list(zip(hs, weighted)))
     report = [
         ("t_final", t_final),
         ("oracle_dx", sol.dx), ("oracle_dt", sol.dt),
@@ -444,25 +430,56 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
         ("l1_max_residual", l1_fit.max_residual),
         ("weighted_order", w_fit.order),
         ("weighted_max_residual", w_fit.max_residual),
-        ("l1_decreasing", all(a[3] > b[3]
-                              for a, b in zip(members, members[1:]))),
-        ("weighted_decreasing", all(a[4] > b[4]
-                                    for a, b in zip(members, members[1:]))),
+        ("l1_decreasing", _decreasing(l1)),
+        ("weighted_decreasing", _decreasing(weighted)),
     ]
     write_report(os.path.join(out, "report.txt"), report)
 
-    hs = np.array([m[0] for m in members])
     line_plot(
         os.path.join(out, "errors.svg"),
-        [PlotSeries("L1 error", hs, np.array([m[3] for m in members])),
-         PlotSeries("weighted pointwise", hs,
-                    np.array([m[4] for m in members]))],
+        [PlotSeries("L1 error", hs, l1),
+         PlotSeries("weighted pointwise", hs, weighted)],
         title=f"{model.name}: errors vs h at t={t_final:g}",
         xlabel="h", ylabel="error", logx=True, logy=True,
         annotations=[f"L1 order {l1_fit.order:.3f}",
                      f"weighted order {w_fit.order:.3f}"])
-    write_manifest(cfg, os.path.join(out, "manifest.cfg"))
     return 0
+
+
+def _self_converge(cfg, out, profile, model, cutoff, t_final, h_list) -> int:
+    """No grid reference covers non-local advection: every h is measured
+    against one particle run at half the finest h."""
+    if cfg.has_option("regularize", "eps"):
+        raise UsageError("[regularize] eps must follow h for "
+                         "self-convergence; set eps_q instead")
+    res = particle_self_convergence(
+        model, profile, h_list, t_final, cutoff,
+        eps_q=_num(cfg.get("regularize", "eps_q")),
+        dt=_opt_num(cfg, "time", "dt"))
+    fit = res.fit
+    hs = [h for h, _e in fit.pairs]
+    errors = [e for _h, e in fit.pairs]
+
+    os.makedirs(out, exist_ok=True)
+    write_csv(os.path.join(out, "errors.csv"), ["h", "l1_error"], fit.pairs)
+    write_report(os.path.join(out, "report.txt"), [
+        ("t_final", t_final), ("reference", "self"),
+        ("truth_h", res.truth_h),
+        ("l1_order", fit.order), ("l1_max_residual", fit.max_residual),
+        ("l1_decreasing", _decreasing(errors)),
+    ])
+    line_plot(
+        os.path.join(out, "errors.svg"),
+        [PlotSeries("L1 error vs finest run", hs, errors)],
+        title=f"{model.name}: self-convergence at t={t_final:g}",
+        xlabel="h", ylabel="error", logx=True, logy=True,
+        annotations=[f"L1 order {fit.order:.3f}",
+                     f"truth at h={res.truth_h:g}"])
+    return 0
+
+
+def _decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 def cmd_asymptote(cfg, out: str, workers: int) -> int:
@@ -478,16 +495,13 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
         target=_num(cfg.get("asymptote", "target")),
         max_levels=int(_num(cfg.get("asymptote", "max_levels"))))
 
-    data = _cfg_to_dict(cfg)
     members = _pool_map(_asymptote_member,
-                        [(data, n, t_final) for n in n_list], workers)
+                        [(cfg, n, t_final) for n in n_list], workers)
 
     tests = default_test_functions(float(sol.x[0]), float(sol.x[-1]))
     gaps = {}
     gap_rows, cluster_rows = [], []
-    for n, h, pos, vol, inten, ens_h, rep, monitors in members:
-        fin = ParticleEnsemble(t_final, pos, vol, inten, h=ens_h,
-                               index_set=np.arange(pos.shape[0]))
+    for n, h, fin, rep, monitors in members:
         gap = weak_measure_gap(fin, sol, tests)
         gaps[h] = gap
         gap_rows.append([n, h, gap, len(rep.clusters), rep.total_mass,
@@ -503,9 +517,9 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
     write_csv(os.path.join(out, "gaps.csv"),
               ["n", "h", "weak_gap", "n_clusters", "total_mass",
                "conclusive", "monitors_ok"], gap_rows)
-    dim = model.dim
     write_csv(os.path.join(out, "clusters.csv"),
-              ["n", "cluster"] + [f"center{k}" for k in range(dim)] + ["mass"],
+              ["n", "cluster"] + [f"center{k}" for k in range(model.dim)]
+              + ["mass"],
               cluster_rows)
 
     report = [
@@ -514,23 +528,12 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
         ("oracle_mass", sol.mass()), ("oracle_dx", sol.dx),
         ("oracle_refinements", len(history) - 1),
     ]
-    finest = members[-1]
-    rep = finest[6]
-    if rep.clusters:
-        clusters = [(np.asarray(c, dtype=float), float(m))
-                    for c, m in rep.clusters]
-        main = max(clusters, key=lambda cm: cm[1])
+    main, _predicted, summary = _cluster_summary(model, members[-1][3])
+    if main is not None:
         report.append(("main_cluster_center",
                        " ".join(repr(float(c)) for c in main[0])))
         report.append(("main_cluster_mass", main[1]))
-        report.append(("predicted_limit_mass",
-                       predict_limit_mass(model, main[0])))
-        residuals = check_dirac_necessary_conditions(model, clusters)
-        for k, res in enumerate(residuals):
-            report.append((f"cluster{k}_advection_residual",
-                           res.advection_residual))
-            report.append((f"cluster{k}_growth_residual",
-                           res.growth_residual))
+    report.extend(summary)
     write_report(os.path.join(out, "report.txt"), report)
 
     ns = np.array([row[0] for row in gap_rows], dtype=float)
@@ -540,7 +543,6 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
         title=f"{model.name}: weak gap vs N at t={t_final:g}",
         xlabel="N", ylabel="gap", logx=True, logy=True,
         annotations=[f"verdict: {verdict.verdict}"])
-    write_manifest(cfg, os.path.join(out, "manifest.cfg"))
     return 0
 
 
@@ -556,14 +558,13 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
     n = int(_num(cfg.get("reproduce", "n", fallback="500")))
     t_final = _num(cfg.get("reproduce", "t_final", fallback="30.0"))
 
-    payloads = [(name, pname, pparams, mparams, n, t_final)
-                for name, pname, pparams, mparams in SCENARIOS]
-    members = _pool_map(_reproduce_member, payloads, workers)
+    members = _pool_map(_reproduce_member,
+                        [(sc, n, t_final) for sc in SCENARIOS], workers)
 
     os.makedirs(out, exist_ok=True)
     summary_rows = []
     mass_series = []
-    for (name, final_mass, rep, residuals, predicted,
+    for (name, final_mass, rep, summary, predicted,
          keys, series, header, state, monitors) in members:
         sub = os.path.join(out, name)
         os.makedirs(sub, exist_ok=True)
@@ -577,19 +578,8 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
             report.append((f"cluster{k}_center", " ".join(
                 repr(float(c)) for c in np.atleast_1d(center))))
             report.append((f"cluster{k}_mass", mass))
-        if predicted is not None:
-            report.append(("predicted_limit_mass", predicted))
-        for k, res in enumerate(residuals):
-            report.append((f"cluster{k}_advection_residual",
-                           res.advection_residual))
-            report.append((f"cluster{k}_growth_residual",
-                           res.growth_residual))
-        report.extend([
-            ("mass_bound", monitors.mass_bound),
-            ("mass_excess_max", monitors.mass_excess_max),
-            ("support_excess_max", monitors.support_excess_max),
-            ("monitors_ok", monitors.ok),
-        ])
+        report.extend(summary)
+        report.extend(_monitor_pairs(monitors, extremes=False))
         write_report(os.path.join(sub, "report.txt"), report)
 
         first = rep.clusters[0] if rep.clusters else (np.array([np.nan]), np.nan)
@@ -598,12 +588,9 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
             float(np.atleast_1d(first[0])[0]), float(first[1]),
             np.nan if predicted is None else predicted,
             rep.conclusive, monitors.ok])
-        t_idx = keys.index("t")
-        m_idx = keys.index("mass")
-        mass_series.append(PlotSeries(
-            name,
-            np.array([row[t_idx] for row in series]),
-            np.array([row[m_idx] for row in series])))
+        cols = dict(zip(keys, zip(*series)))
+        mass_series.append(PlotSeries(name, np.array(cols["t"]),
+                                      np.array(cols["mass"])))
 
     write_csv(os.path.join(out, "summary.csv"),
               ["scenario", "final_mass", "n_clusters", "cluster0_center",
@@ -612,7 +599,6 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
               summary_rows)
     line_plot(os.path.join(out, "masses.svg"), mass_series,
               title="total mass per scenario", xlabel="t", ylabel="mass")
-    write_manifest(cfg, os.path.join(out, "manifest.cfg"))
     return 0
 
 
@@ -653,7 +639,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise UsageError("--workers must be at least 1")
         cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, out, args.workers)
+        code = COMMANDS[args.command](cfg, out, args.workers)
+        write_manifest(cfg, os.path.join(out, "manifest.cfg"))
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

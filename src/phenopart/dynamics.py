@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import ParticleEnsemble, active_box  # noqa: F401  (re-export)
+from .discretize import ParticleEnsemble
 from .model import (ModelSpec, divergence_field, nonlocal_field, pair_sum,
                     velocity_field)
 
@@ -49,7 +49,6 @@ __all__ = [
     "rhs",
     "integrate",
     "default_dt",
-    "active_box",
 ]
 
 
@@ -166,6 +165,8 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     reductions, no adaptivity, no randomness.  Identical inputs produce
     bit-identical trajectories.
     """
+    if ens0.n == 0:
+        raise IntegrationError("cannot integrate an empty ensemble")
     T = cfg.t_final
     dt_req = cfg.dt if cfg.dt is not None else default_dt(ens0.h, model.a_sup)
     if T == 0.0:
@@ -173,8 +174,8 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
         monitors = MonitorReport(
             mass_bound=max(ens0.mass(), model.mass_bound_factor),
             mass_excess_max=0.0, support_excess_max=0.0,
-            w_min=float(np.min(ens0.volumes)) if ens0.n else math.inf,
-            nu_min=float(np.min(ens0.intensities)) if ens0.n else 0.0,
+            w_min=float(np.min(ens0.volumes)),
+            nu_min=float(np.min(ens0.intensities)),
             ok=True)
         series = {k: np.zeros(1) for k in
                   ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")}
@@ -221,7 +222,7 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     for step in range(n_steps):
         t = t0 + step * dt
         k1 = _stage_rhs(model, t, x, w, nu, mut)
-        speed_max = float(np.max(np.sqrt(pair_sum(k1[0] * k1[0], axis=-1)))) if x.size else 0.0
+        speed_max = float(np.max(np.sqrt(pair_sum(k1[0] * k1[0], axis=-1))))
         k2 = _stage_rhs(model, t + 0.5 * dt, x + 0.5 * dt * k1[0],
                         w + 0.5 * dt * k1[1], nu + 0.5 * dt * k1[2], mut)
         k3 = _stage_rhs(model, t + 0.5 * dt, x + 0.5 * dt * k2[0],

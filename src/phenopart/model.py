@@ -245,13 +245,11 @@ class ModelSpec:
             raise ValueError("r_star must be > 0")
         if self.psi_g_min <= 0:
             raise ValueError("psi_g_min must be > 0")
-        if (self.mutation is None) != (self.kernel_d is None and self.support_m_x is None
-                                       and self.support_m_y is None):
-            if self.mutation is None:
-                raise ValueError("mutation kernels/supports declared without mutation")
-        if self.mutation is not None:
-            if self.kernel_d is None or self.support_m_x is None or self.support_m_y is None:
-                raise ValueError("mutation requires kernel_d and both m-supports")
+        parts = (self.kernel_d, self.support_m_x, self.support_m_y)
+        if self.mutation is None and any(p is not None for p in parts):
+            raise ValueError("mutation kernels/supports declared without mutation")
+        if self.mutation is not None and any(p is None for p in parts):
+            raise ValueError("mutation requires kernel_d and both m-supports")
 
     @property
     def n_a(self) -> int:
@@ -354,28 +352,19 @@ def _ens_arrays(ens):
 
 
 def _kernel_by_id(model: ModelSpec, kernel_id):
-    if isinstance(kernel_id, tuple):
-        tag, idx = kernel_id
-        if tag != "a":
-            raise KeyError(f"unknown kernel id {kernel_id!r}")
-        return model.kernels_a[idx]
-    if kernel_id == "g":
-        return model.kernel_g
-    if kernel_id == "d":
-        if model.kernel_d is None:
-            raise KeyError("model has no mutation kernel")
-        return model.kernel_d
-    if kernel_id == "a":
-        return model.kernels_a[0]
-    if isinstance(kernel_id, str) and kernel_id.startswith("a"):
-        return model.kernels_a[int(kernel_id[1:])]
-    raise KeyError(f"unknown kernel id {kernel_id!r}")
+    kernels = {"g": model.kernel_g, "d": model.kernel_d}
+    kernels.update((f"a{k}", ker) for k, ker in enumerate(model.kernels_a))
+    if kernel_id not in kernels:
+        raise KeyError(f"unknown kernel id {kernel_id!r}")
+    if kernels[kernel_id] is None:
+        raise KeyError("model has no mutation kernel")
+    return kernels[kernel_id]
 
 
 def eval_nonlocal(model: ModelSpec, kernel_id, t: float, x, ens) -> float:
     """One kernel average I_l(t, x) against the ensemble's weighted sum.
 
-    kernel_id: "g", "d", "a" (first advection kernel), "a<k>", or ("a", k).
+    kernel_id: "g", "d", or "a<k>" (advection kernel k).
     """
     kernel = _kernel_by_id(model, kernel_id)
     X = as_points(x, model.dim)

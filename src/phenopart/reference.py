@@ -251,6 +251,12 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
         if edges is not None:
             edges_out = _rk4_flow(model, edges, t, t + Dt, n_sub)
             keep = (x >= edges_out[0]) & (x <= edges_out[1])
+            if np.count_nonzero(keep) < 2:
+                # one node gets zero trapezoid weight: mass and I_g would
+                # read 0 while its value grows without bound
+                raise OracleError(
+                    f"support [{edges_out[0]:.6g}, {edges_out[1]:.6g}] holds "
+                    f"fewer than two grid nodes at t={t + Dt:.6g}; refine dx")
 
         rho_n = float(pair_sum(_support_weights(vn, cfg.dx) * vn))
         tol = cfg.fixed_point_tol

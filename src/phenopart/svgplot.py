@@ -45,6 +45,16 @@ def _log_ticks(lo: float, hi: float):
     return [t for t in ticks if lo / 1.001 <= t <= hi * 1.001] or [lo, hi]
 
 
+def _widen(lo: float, hi: float, log: bool):
+    """Open a flat range by half a unit of the plotted coordinate: +-0.5 in
+    data units on a linear axis, +-0.5 decades on a log axis."""
+    if hi != lo:
+        return lo, hi
+    if log:
+        return lo / math.sqrt(10.0), hi * math.sqrt(10.0)
+    return lo - 0.5, hi + 0.5
+
+
 def line_plot(path, series: Sequence[PlotSeries], title: str,
               xlabel: str, ylabel: str, logx: bool = False, logy: bool = False,
               width: int = 720, height: int = 480,
@@ -66,12 +76,8 @@ def line_plot(path, series: Sequence[PlotSeries], title: str,
     def ty(v):
         return math.log10(v) if logy else v
 
-    x0, x1 = float(np.min(xs)), float(np.max(xs))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
-    if x1 == x0:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y1 == y0:
-        y0, y1 = y0 - 0.5, y1 + 0.5
+    x0, x1 = _widen(float(np.min(xs)), float(np.max(xs)), logx)
+    y0, y1 = _widen(float(np.min(ys)), float(np.max(ys)), logy)
     X0, X1 = tx(x0), tx(x1)
     Y0, Y1 = ty(y0), ty(y1)
     padx = 0.04 * (X1 - X0)

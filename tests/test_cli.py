@@ -60,6 +60,23 @@ max_levels = 1
 """
 
 
+SELF_CFG = """\
+[model]
+name = nldrift1d
+
+[initial]
+profile = bump
+center = 0.5
+width = 0.4
+
+[regularize]
+cutoff = bspline3
+
+[converge]
+h_list = 1/25, 1/50, 1/100
+"""
+
+
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -133,6 +150,35 @@ def test_converge_deterministic_across_workers(tmp_path):
     rep = _report_dict(str(tmp_path / "w1" / "report.txt"))
     assert float(rep["l1_order"]) > 0.2
     assert rep["l1_decreasing"] == "true"
+
+
+def test_converge_nonlocal_self_convergence(tmp_path):
+    cfg = _write(tmp_path, SELF_CFG)
+    outs = []
+    for tag, workers in (("w1", "1"), ("w2", "2")):
+        out = str(tmp_path / tag)
+        assert main(["converge", "--config", cfg, "--out", out,
+                     "--workers", workers]) == 0
+        outs.append(_tree_bytes(out))
+    assert outs[0] == outs[1]
+    assert sorted(outs[0]) == ["errors.csv", "errors.svg", "manifest.cfg",
+                               "report.txt"]
+    rep = _report_dict(str(tmp_path / "w1" / "report.txt"))
+    assert rep["reference"] == "self"
+    assert float(rep["truth_h"]) == pytest.approx(1 / 200)
+    assert float(rep["l1_order"]) >= 0.5
+    assert rep["l1_decreasing"] == "true"
+    with open(tmp_path / "w1" / "errors.csv") as fh:
+        assert fh.readline().strip() == "h,l1_error"
+        assert len(fh.read().strip().splitlines()) == 3
+
+
+def test_self_convergence_rejects_fixed_eps(tmp_path, capsys):
+    cfg = _write(tmp_path, SELF_CFG.replace("[regularize]\n",
+                                            "[regularize]\neps = 0.02\n"))
+    code = main(["converge", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "eps" in capsys.readouterr().err
 
 
 def test_asymptote_artifacts(tmp_path):

@@ -132,6 +132,15 @@ def test_negative_intensity_aborts():
         pp.integrate(model, ens, pp.RunConfig(t_final=0.5))
 
 
+@pytest.mark.parametrize("t_final", [0.0, 1.0])
+def test_empty_ensemble_is_rejected(advsel_model, t_final):
+    empty = pp.ParticleEnsemble(time=0.0, positions=np.zeros((0, 1)),
+                                volumes=np.zeros(0), intensities=np.zeros(0),
+                                h=0.1)
+    with pytest.raises(pp.IntegrationError, match="empty ensemble"):
+        pp.integrate(advsel_model, empty, pp.RunConfig(t_final=t_final))
+
+
 class TestBookkeeping:
     def test_zero_horizon_returns_initial_state(self, advsel_profile,
                                                 advsel_model):

@@ -53,6 +53,62 @@ def test_eval_nonlocal_selects_kernels(advsel_model, random_ensemble):
     assert val == pytest.approx(total, rel=1e-13)
 
 
+def _mutation_model(**overrides):
+    support = pp.Box([0.0], [1.0])
+    parts = dict(
+        name="mut", dim=1,
+        advection=lambda t, X, I: np.zeros_like(X),
+        advection_div_x=lambda t, X, I: np.zeros(X.shape[0]),
+        growth=lambda t, X, I: np.zeros(X.shape[0]),
+        kernels_a=(pp.constant_kernel(2.0), pp.moment_kernel(0)),
+        kernel_g=pp.constant_kernel(1.0), support_v0=support, a_sup=0.0,
+        mutation=lambda t, X, Y, I: np.zeros((X.shape[0], Y.shape[0])),
+        kernel_d=pp.constant_kernel(3.0),
+        support_m_x=support, support_m_y=support)
+    parts.update(overrides)
+    return pp.ModelSpec(**parts)
+
+
+def test_eval_nonlocal_kernel_ids(random_ensemble):
+    ens = random_ensemble
+    alpha = ens.alpha()
+    total = float(np.sum(alpha))
+    model = _mutation_model()
+    expected = {"g": total, "d": 3.0 * total, "a0": 2.0 * total,
+                "a1": float(np.sum(alpha * ens.positions[:, 0]))}
+    for kernel_id, value in expected.items():
+        got = pp.eval_nonlocal(model, kernel_id, 0.0, [0.5], ens)
+        assert got == pytest.approx(value, rel=1e-13), kernel_id
+    for kernel_id in ("a", ("a", 0), "a2", "x", "G"):
+        with pytest.raises(KeyError, match="unknown kernel id"):
+            pp.eval_nonlocal(model, kernel_id, 0.0, [0.5], ens)
+
+
+def test_eval_nonlocal_without_mutation_kernel(advsel_model,
+                                               random_ensemble):
+    with pytest.raises(KeyError, match="no mutation kernel"):
+        pp.eval_nonlocal(advsel_model, "d", 0.0, [0.5], random_ensemble)
+
+
+@pytest.mark.parametrize("with_mutation", [True, False])
+@pytest.mark.parametrize("declared", range(8))
+def test_mutation_declaration_must_be_complete(with_mutation, declared):
+    """mutation, kernel_d and both m-supports come all together or not at
+    all; `declared` is a bit mask over (kernel_d, support_m_x, support_m_y)."""
+    names = ("kernel_d", "support_m_x", "support_m_y")
+    overrides = {name: None for bit, name in enumerate(names)
+                 if not declared >> bit & 1}
+    if not with_mutation:
+        overrides["mutation"] = None
+    if declared == (7 if with_mutation else 0):
+        model = _mutation_model(**overrides)
+        assert (model.mutation is None) == (not with_mutation)
+    else:
+        match = "requires kernel_d" if with_mutation else "without mutation"
+        with pytest.raises(ValueError, match=match):
+            _mutation_model(**overrides)
+
+
 def test_eval_nonlocal_rejects_nonfinite(random_ensemble):
     ens = random_ensemble
     bad = pp.function_kernel(

@@ -131,6 +131,17 @@ def test_oracle_rejects_unsupported_models(advsel_profile):
         pp.solve_reference(two, advsel_profile, cfg, 0.1)
 
 
+def test_collapsed_support_is_an_error():
+    # a = x(1-x) squeezes [0.05, 1] onto x = 1; at dx = 1/40 the clipped
+    # support keeps a single node, which has zero trapezoid weight, so mass
+    # would read 0 while the node value grows without bound
+    prof = pp.build_profile("const6")
+    model = pp.build_model("advsel1d", prof.support, r0=6.0, r1=0.5)
+    cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 40, dt=2e-2)
+    with pytest.raises(pp.OracleError, match="fewer than two grid nodes"):
+        pp.solve_reference(model, prof, cfg, 10.0)
+
+
 def test_refinement_history():
     prof = pp.build_profile("const", value=0.5, lo=0.0, hi=1.0)
     model = pp.build_model("logistic0d", prof.support, r0=1.0)
