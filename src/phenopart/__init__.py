@@ -16,10 +16,9 @@ from .analysis import (APReport, AnalysisError, ClusterReport,
                        ConditionResiduals, FitResult, PredictionError,
                        SelfConvergenceResult, ap_verdict,
                        check_dirac_necessary_conditions, default_test_functions,
-                       detect_limit_clusters, eps_rule_radius,
-                       fit_convergence_order, particle_self_convergence,
-                       predict_limit_mass, weak_measure_gap,
-                       weighted_pointwise_error)
+                       detect_limit_clusters, fit_convergence_order,
+                       particle_self_convergence, predict_limit_mass,
+                       weak_measure_gap, weighted_pointwise_error)
 from .discretize import (DiscretizationError, InitialDensity, MutationCheck,
                          PROFILES, ParticleEnsemble, SpacingError,
                          SpacingReport, active_box, build_profile,

@@ -31,7 +31,8 @@ from scipy.spatial import cKDTree
 from .discretize import (InitialDensity, ParticleEnsemble, _bump_1d,
                          active_box, partition_support)
 from .dynamics import RunConfig, Trajectory, integrate
-from .model import Box, ModelSpec, pair_sum
+from .model import (Box, ModelSpec, advection_inputs, nonlocal_field,
+                    pair_sum)
 from .reference import ReferenceSolution
 from .regularize import CutoffSpec, epsilon_rule, reconstruct
 
@@ -273,22 +274,11 @@ def check_dirac_necessary_conditions(model: ModelSpec, clusters,
     X_samples = box.sample(n_samples, seed=3)
     for k in range(centers.shape[0]):
         c = centers[k:k + 1]
-        I_a = np.zeros((1, model.n_a))
-        if not model.is_local:
-            for j, ker in enumerate(model.kernels_a):
-                if ker.const is not None:
-                    I_a[0, j] = ker.const * float(pair_sum(masses))
-                else:
-                    vals = np.asarray(ker.func(0.0, c, centers))[0]
-                    I_a[0, j] = float(pair_sum(vals * masses))
+        I_a = advection_inputs(model, 0.0, c, centers, masses)
         a_res = float(np.max(np.abs(np.asarray(model.advection(0.0, c, I_a))[0])))
 
-        if model.kernel_g.const is not None:
-            I_g = model.kernel_g.const * float(pair_sum(masses))
-        else:
-            vals = np.asarray(model.kernel_g.func(0.0, c, centers))[0]
-            I_g = float(pair_sum(vals * masses))
-        g_res = abs(float(np.asarray(model.growth(0.0, c, np.array([I_g])))[0]))
+        I_g = nonlocal_field(model.kernel_g, 0.0, c, centers, masses)
+        g_res = abs(float(np.asarray(model.growth(0.0, c, I_g))[0]))
 
         if model.mutation is not None:
             I_d = np.zeros(n_samples)
@@ -367,15 +357,15 @@ def particle_self_convergence(model: ModelSpec, v0: InitialDensity,
     box = active_box(model, T)
     eps_truth = epsilon_rule(h_truth, q=eps_q)
     spacing = eps_truth / 4.0
-    lo = float(box.lo[0]) - 4.0 * eps_rule_radius(cutoff, epsilon_rule(h_list[0], q=eps_q))
-    hi = float(box.hi[0]) + 4.0 * eps_rule_radius(cutoff, epsilon_rule(h_list[0], q=eps_q))
+    pad = 4.0 * cutoff.radius * epsilon_rule(h_list[0], q=eps_q)
+    lo = float(box.lo[0]) - pad
+    hi = float(box.hi[0]) + pad
     n_pts = int(math.ceil((hi - lo) / spacing)) + 1
     grid = lo + spacing * np.arange(n_pts)
 
     def run(h: float) -> np.ndarray:
         ens0 = partition_support(v0, model, h, T)
-        cfg = RunConfig(t_final=T, dt=dt, record_series=False)
-        traj = integrate(model, ens0, cfg)
+        traj = integrate(model, ens0, RunConfig(t_final=T, dt=dt))
         return reconstruct(traj.final, cutoff, epsilon_rule(h, q=eps_q),
                            grid[:, None])
 
@@ -387,11 +377,6 @@ def particle_self_convergence(model: ModelSpec, v0: InitialDensity,
         pairs.append((h, err))
     return SelfConvergenceResult(fit=fit_convergence_order(pairs),
                                  truth_h=h_truth, grid=grid)
-
-
-def eps_rule_radius(cutoff: CutoffSpec, eps: float) -> float:
-    """Physical support radius of the scaled cutoff."""
-    return cutoff.radius * eps
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ DEFAULTS = {
     "model": {"name": "advsel1d"},
     "initial": {"profile": "one-minus-x"},
     "discretize": {"h": "1/100"},
-    "time": {"t_final": "1.0", "record_series": "true"},
+    "time": {"t_final": "1.0"},
     "regularize": {"cutoff": "gaussian", "eps_q": "0.5"},
     "oracle": {"x_lo": "-0.25", "x_hi": "1.25", "dx": "1/2000",
                "dt": "1e-3", "enabled": "false"},
@@ -162,8 +162,7 @@ def _run_config(cfg, t_final: float) -> RunConfig:
     snap = _opt_num(cfg, "time", "snapshot_every")
     return RunConfig(
         t_final=t_final, dt=_opt_num(cfg, "time", "dt"),
-        snapshot_every=None if snap is None else int(snap),
-        record_series=_get_bool(cfg, "time", "record_series", True))
+        snapshot_every=None if snap is None else int(snap))
 
 
 def _oracle_config(cfg) -> ReferenceConfig:

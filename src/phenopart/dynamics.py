@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .discretize import ParticleEnsemble
-from .model import (ModelSpec, divergence_field, nonlocal_field, pair_sum,
-                    velocity_field)
+from .model import (ModelSpec, advection_inputs, divergence_field,
+                    nonlocal_field, pair_sum, velocity_field)
 
 __all__ = [
     "IntegrationError",
@@ -70,7 +70,6 @@ class RunConfig:
     t_final: float
     dt: Optional[float] = None          # None: default_dt(h, a_sup)
     snapshot_every: Optional[int] = None  # None: ~40 snapshots over the run
-    record_series: bool = True
     nu_alarm: float = 1e-10             # abort when nu < -nu_alarm * max(nu)
 
     def __post_init__(self):
@@ -109,9 +108,6 @@ class Trajectory:
     def final(self) -> ParticleEnsemble:
         return self.snapshots[-1]
 
-    def mass_at_final(self) -> float:
-        return self.final.mass()
-
 
 class _MutationPruning:
     """Fixed row set (initial positions + a_sup*T padding) for mutation sums."""
@@ -128,8 +124,9 @@ class _MutationPruning:
 def _stage_rhs(model: ModelSpec, t: float, x: np.ndarray, w: np.ndarray,
                nu: np.ndarray, mut: _MutationPruning):
     alpha = nu * w
-    dx = velocity_field(model, t, x, x, alpha)
-    div = divergence_field(model, t, x, x, alpha)
+    I = advection_inputs(model, t, x, x, alpha)
+    dx = velocity_field(model, t, x, I)
+    div = divergence_field(model, t, x, x, alpha, I)
     I_g = nonlocal_field(model.kernel_g, t, x, x, alpha)
     R = np.asarray(model.growth(t, x, I_g), dtype=float)
     dw = div * w
@@ -195,29 +192,27 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     t0 = ens0.time
     mut = _MutationPruning(model, ens0, T)
 
-    mass0 = ens0.mass()
-    bound = max(mass0, model.mass_bound_factor)
+    mass = ens0.mass()
+    bound = max(mass, model.mass_bound_factor)
     mass_excess = 0.0
     support_excess = -math.inf
     w_min_seen = float(np.min(w))
     nu_min_seen = float(np.min(nu))
 
-    n_rec = n_steps + 1 if cfg.record_series else 1
-    series = {k: np.zeros(n_rec) for k in
+    series = {k: np.zeros(n_steps + 1) for k in
               ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")}
 
-    def record(i, t, speed_max):
+    def record(i, t, mass, nu_min, nu_max, w_min, speed_max):
         series["t"][i] = t
-        series["mass"][i] = pair_sum(nu * w)
-        series["nu_min"][i] = np.min(nu)
-        series["nu_max"][i] = np.max(nu)
-        series["w_min"][i] = np.min(w)
+        series["mass"][i] = mass
+        series["nu_min"][i] = nu_min
+        series["nu_max"][i] = nu_max
+        series["w_min"][i] = w_min
         series["w_max"][i] = np.max(w)
         series["speed_max"][i] = speed_max
 
     snapshots = [ens0.copy()]
-    if cfg.record_series:
-        record(0, t0, 0.0)
+    record(0, t0, mass, nu_min_seen, float(np.max(nu)), w_min_seen, 0.0)
 
     for step in range(n_steps):
         t = t0 + step * dt
@@ -264,16 +259,12 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
         w_min_seen = min(w_min_seen, wm)
         nu_min_seen = min(nu_min_seen, nu_min)
 
-        if cfg.record_series:
-            record(step + 1, t_next, speed_max)
+        record(step + 1, t_next, mass, nu_min, nu_max, wm, speed_max)
         if (step + 1) % snap_every == 0 or step + 1 == n_steps:
             snapshots.append(ParticleEnsemble(
                 time=t_next, positions=x.copy(), volumes=w.copy(),
                 intensities=nu.copy(), h=ens0.h,
                 index_set=ens0.index_set.copy()))
-
-    if not cfg.record_series:
-        record(0, t0 + n_steps * dt, 0.0)
 
     monitors = MonitorReport(
         mass_bound=bound,

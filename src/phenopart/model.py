@@ -26,6 +26,12 @@ term through the non-local inputs:
     div A(t, x) = (div_x a)(t, x, I(x))
                   + sum_k da/dI_k (t, x, I(x)) . sum_j nu_j w_j grad_x psi_a^k(t, x, x_j).
 
+The advection inputs I = (I_a^k) are computed once by
+:func:`advection_inputs` and handed to both :func:`velocity_field` and
+:func:`divergence_field`.  The chain-rule sum runs only over kernels that
+depend on x: a constant or x-free kernel has zero x-gradient, so a model
+whose advection kernels are all of that kind never evaluates da/dI.
+
 Reduction policy: every weighted sum over particles goes through numpy's
 pairwise summation over the fixed index order (``np.add.reduce``), never
 through BLAS.  This keeps results bit-reproducible across runs and across
@@ -316,9 +322,9 @@ def advection_inputs(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     return np.stack(cols, axis=1)
 
 
-def velocity_field(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
-                   alpha: np.ndarray) -> np.ndarray:
-    I = advection_inputs(model, t, X, Y, alpha)
+def velocity_field(model: ModelSpec, t: float, X: np.ndarray,
+                   I: np.ndarray) -> np.ndarray:
+    """A(t, x_row) = a(t, x_row, I_row) at given advection inputs I (n, n_a)."""
     A = np.asarray(model.advection(t, X, I), dtype=float)
     if A.shape != X.shape:
         raise EvaluationError(f"advection returned shape {A.shape}, expected {X.shape}")
@@ -326,21 +332,23 @@ def velocity_field(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
 
 
 def divergence_field(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
-                     alpha: np.ndarray) -> np.ndarray:
-    """div A with the chain-rule term through the non-local inputs."""
-    I = advection_inputs(model, t, X, Y, alpha)
+                     alpha: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """div A at given advection inputs I, with the chain-rule term summed
+    over the kernels that depend on x (for the others it is exactly zero)."""
     div = np.asarray(model.advection_div_x(t, X, I), dtype=float)
     if div.shape != (X.shape[0],):
         raise EvaluationError(
             f"advection_div_x returned shape {div.shape}, expected {(X.shape[0],)}")
-    if model.advection_dI is not None:
+    graded = [k for k, ker in enumerate(model.kernels_a)
+              if ker.const is None and not ker.x_free]
+    if model.advection_dI is not None and graded:
         dI = np.asarray(model.advection_dI(t, X, I), dtype=float)
         if dI.shape != (X.shape[0], model.n_a, model.dim):
             raise EvaluationError(
                 f"advection_dI returned shape {dI.shape}, expected "
                 f"{(X.shape[0], model.n_a, model.dim)}")
-        for k, ker in enumerate(model.kernels_a):
-            g = nonlocal_grad_field(ker, t, X, Y, alpha)
+        for k in graded:
+            g = nonlocal_grad_field(model.kernels_a[k], t, X, Y, alpha)
             div = div + pair_sum(dI[:, k, :] * g, axis=-1)
     return div
 
@@ -382,7 +390,7 @@ def eval_nonlocal(model: ModelSpec, kernel_id, t: float, x, ens) -> float:
 def eval_velocity(model: ModelSpec, t: float, x, ens) -> np.ndarray:
     X = as_points(x, model.dim)
     Y, alpha = _ens_arrays(ens)
-    A = velocity_field(model, t, X, Y, alpha)
+    A = velocity_field(model, t, X, advection_inputs(model, t, X, Y, alpha))
     if not np.all(np.isfinite(A)):
         raise EvaluationError("advection produced a non-finite velocity")
     return A[0]
@@ -391,7 +399,8 @@ def eval_velocity(model: ModelSpec, t: float, x, ens) -> np.ndarray:
 def eval_divergence(model: ModelSpec, t: float, x, ens) -> float:
     X = as_points(x, model.dim)
     Y, alpha = _ens_arrays(ens)
-    div = divergence_field(model, t, X, Y, alpha)
+    div = divergence_field(model, t, X, Y, alpha,
+                           advection_inputs(model, t, X, Y, alpha))
     if not np.all(np.isfinite(div)):
         raise EvaluationError("divergence produced a non-finite value")
     return float(div[0])
@@ -679,7 +688,7 @@ def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> Mo
 
     The advection depends on the measure only through its total mass, so the
     chain-rule divergence term is exactly zero (constant kernels have zero
-    x-gradient) while the code path for non-local advection stays exercised.
+    x-gradient) and is skipped; the non-local inputs still feed the velocity.
     """
 
     def advection(t, X, I):

@@ -63,14 +63,6 @@ class CutoffSpec:
     breakpoints: tuple = ()
     notes: str = ""
 
-    def evaluate(self, U) -> np.ndarray:
-        """Product-form evaluation at scaled offsets U (n, d) -> (n,)."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        vals = self.profile(U[:, 0])
-        for k in range(1, U.shape[1]):
-            vals = vals * self.profile(U[:, k])
-        return vals
-
 
 def _gaussian_profile(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)

@@ -46,13 +46,15 @@ def _log_ticks(lo: float, hi: float):
 
 
 def _widen(lo: float, hi: float, log: bool):
-    """Open a flat range by half a unit of the plotted coordinate: +-0.5 in
-    data units on a linear axis, +-0.5 decades on a log axis."""
+    """Open a flat range by half a unit of the plotted coordinate: +-0.5
+    decades on a log axis; on a linear axis +-0.5 in data units up to
+    |y| = 1e6, and 5e-7 |y| beyond, so the range stays open in rounding."""
     if hi != lo:
         return lo, hi
     if log:
         return lo / math.sqrt(10.0), hi * math.sqrt(10.0)
-    return lo - 0.5, hi + 0.5
+    pad = 0.5 * max(1.0, abs(lo) / 1e6)
+    return lo - pad, hi + pad
 
 
 def line_plot(path, series: Sequence[PlotSeries], title: str,

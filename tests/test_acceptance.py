@@ -56,8 +56,7 @@ def rate_sweep(fig_profile, fig_model):
     rows = []
     for h in H_SWEEP:
         ens = pp.partition_support(fig_profile, fig_model, h, T=1.0)
-        traj = pp.integrate(fig_model, ens,
-                            pp.RunConfig(t_final=1.0, record_series=False))
+        traj = pp.integrate(fig_model, ens, pp.RunConfig(t_final=1.0))
         eps = pp.epsilon_rule(h, q=0.5)  # eps = sqrt(h)
         recon = pp.reconstruct(traj.final, cutoff, eps, sol.x)
         rows.append((h, pp.l1_distance(sol, recon),
@@ -172,7 +171,7 @@ def test_criterion_02_closed_form_benchmarks():
     model = pp.build_model("logistic0d", prof.support, r0=1.0)
     ens = pp.partition_support(prof, model, 0.25, T=5.0)
     traj = pp.integrate(model, ens, pp.RunConfig(t_final=5.0, dt=1e-3))
-    assert abs(traj.mass_at_final() - LOGISTIC_RHO_5) <= 1e-6
+    assert abs(traj.final.mass() - LOGISTIC_RHO_5) <= 1e-6
 
     model = pp.build_model("linadv1d", pp.Box([-2.0], [2.0]))
     prof = pp.build_profile("const", value=1.0, lo=-2.0, hi=2.0)
@@ -280,7 +279,7 @@ def test_criterion_09_cutoff_moments_and_mass():
         ens = make_ensemble(20 + seed % 17, seed=seed)
         eps = 0.04 + 0.005 * (seed % 3)
         dx = eps / 4.0
-        pad = pp.eps_rule_radius(phi, eps) + dx
+        pad = phi.radius * eps + dx
         grid = np.arange(-pad, 1.0 + pad, dx)
         vals = pp.reconstruct(ens, phi, eps, grid[:, None])
         err = abs(float(np.sum(vals) * dx) - ens.mass())

@@ -19,9 +19,9 @@ def test_logistic_total_mass():
     model = pp.build_model("logistic0d", prof.support, r0=1.0)
     ens = pp.partition_support(prof, model, 0.25, T=0.0)
     traj = pp.integrate(model, ens, pp.RunConfig(t_final=5.0, dt=1e-3))
-    assert traj.mass_at_final() == pytest.approx(LOGISTIC_RHO_5, abs=1e-6)
+    assert traj.final.mass() == pytest.approx(LOGISTIC_RHO_5, abs=1e-6)
     # RK4 at this step size actually sits far below the required tolerance
-    assert abs(traj.mass_at_final() - LOGISTIC_RHO_5) < 1e-11
+    assert abs(traj.final.mass() - LOGISTIC_RHO_5) < 1e-11
 
 
 def test_linear_advection_closed_forms():
@@ -160,13 +160,6 @@ class TestBookkeeping:
         assert traj.n_steps == 10
         assert [s.time for s in traj.snapshots] == pytest.approx(
             [0.0, 0.05, 0.1])
-
-    def test_series_off(self, advsel_profile, advsel_model):
-        ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=0.1)
-        traj = pp.integrate(advsel_model, ens,
-                            pp.RunConfig(t_final=0.1, dt=0.01,
-                                         record_series=False))
-        assert traj.series["mass"].shape == (1,)
 
     def test_default_dt_respects_cell_crossing(self):
         assert pp.default_dt(1.0, 0.0) == 1e-3

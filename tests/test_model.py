@@ -1,5 +1,7 @@
 """Field evaluation, kernels, and structural validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -159,6 +161,50 @@ def test_divergence_chain_rule_against_fd(random_ensemble):
         up = pp.eval_velocity(model, 0.0, [xq + step], ens)[0]
         dn = pp.eval_velocity(model, 0.0, [xq - step], ens)[0]
         assert div == pytest.approx((up - dn) / (2 * step), abs=1e-5)
+
+
+def _counted(func, counts, key):
+    def wrapped(*args):
+        counts[key] += 1
+        return func(*args)
+    return wrapped
+
+
+def test_rhs_sums_graded_kernel_once(random_ensemble):
+    """Velocity and divergence share one evaluation of the advection inputs."""
+    model = _chainrule_model()
+    counts = {"func": 0}
+    psi = model.kernels_a[0]
+    model.kernels_a = (dataclasses.replace(
+        psi, func=_counted(psi.func, counts, "func")),)
+    pp.rhs(model, random_ensemble)
+    assert counts["func"] == 1
+
+
+def test_moment_kernels_skip_the_chain_rule_term():
+    """Moment kernels have no x-gradient, so one stage never evaluates dA/dI:
+    it makes one velocity evaluation plus four for the FD divergence.  The
+    divergence still matches central differences of the velocity."""
+    model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
+    counts = {"advection": 0, "dI": 0}
+    adv = _counted(model.advection, counts, "advection")
+    model = dataclasses.replace(
+        model, advection=adv, advection_div_x=pp.fd_divergence(adv, 2),
+        advection_dI=_counted(pp.fd_advection_dI(adv, 2, 2), counts, "dI"))
+    ens = make_ensemble(40, seed=7, dim=2)
+    pp.rhs(model, ens)
+    assert counts == {"advection": 5, "dI": 0}
+
+    step = 1e-6
+    for xq in ([0.2, 0.7], [-0.5, 0.3], [0.9, -0.8]):
+        div = pp.eval_divergence(model, 0.0, xq, ens)
+        fd = 0.0
+        for axis, e in enumerate(step * np.eye(2)):
+            up = pp.eval_velocity(model, 0.0, np.add(xq, e), ens)[axis]
+            dn = pp.eval_velocity(model, 0.0, np.subtract(xq, e), ens)[axis]
+            fd += (up - dn) / (2 * step)
+        assert div == pytest.approx(fd, abs=1e-6)
+    assert counts["dI"] == 0
 
 
 def test_fd_divergence_fallback_matches_analytic(advsel_model):

@@ -76,7 +76,7 @@ class TestEpsilonRule:
 
     def test_scaled_radius(self):
         phi = pp.build_cutoff("bspline3")
-        assert pp.eps_rule_radius(phi, 0.05) == pytest.approx(0.1)
+        assert phi.radius * 0.05 == pytest.approx(0.1)
 
 
 def test_reconstruction_mass_is_quadrature_exact():
@@ -85,7 +85,7 @@ def test_reconstruction_mass_is_quadrature_exact():
     ens = make_ensemble(60, seed=3)
     eps = 0.05
     phi = pp.build_cutoff("bspline3")
-    pad = pp.eps_rule_radius(phi, eps)
+    pad = phi.radius * eps
     dx = eps / 4.0
     grid = np.arange(0.0 - pad - 3 * dx, 1.0 + pad + 3 * dx, dx)
     vals = pp.reconstruct(ens, phi, eps, grid[:, None])
@@ -137,7 +137,7 @@ def test_mollified_mass_invariance(eps, seed):
     the unit zeroth moment."""
     ens = make_ensemble(30, seed=seed)
     phi = pp.build_cutoff("bspline3")
-    pad = pp.eps_rule_radius(phi, eps) + eps
+    pad = phi.radius * eps + eps
     dx = eps / 8.0
     grid = np.arange(-pad, 1.0 + pad, dx)
     vals = pp.reconstruct(ens, phi, eps, grid[:, None])

@@ -65,6 +65,13 @@ def test_flat_series_does_not_crash(tmp_path):
     s = [PlotSeries("flat", [0.0, 1.0], [2.0, 2.0])]
     line_plot(tmp_path / "flat.svg", s, "t", "x", "y")
     assert (tmp_path / "flat.svg").stat().st_size > 0
+    # on a linear axis the pad grows with |y| past 1e6, so the range stays
+    # open where +-0.5 would vanish in rounding
+    for level in (5e60, -5e60):
+        s = [PlotSeries("flat", [1.0, 2.0, 3.0], [level] * 3)]
+        out = tmp_path / f"flat-lin-{level:g}.svg"
+        line_plot(out, s, "t", "x", "y")
+        assert ET.parse(out).getroot().tag == f"{NS}svg"
     # on a log axis the flat range opens by half a decade, not by 0.5 in
     # data units (which goes negative below 0.5 and vanishes at 5e60)
     for level in (0.3, 5e60):
