@@ -9,8 +9,9 @@ asymptote  long-horizon N-sweep; cluster reports and a preservation verdict
 reproduce  built-in four-scenario long-run suite
 
 Configs are INI files.  Any value can be overridden through environment
-variables named ``PHENOPART_<SECTION>__<KEY>``.  All artifacts (CSV, SVG,
-report, manifest) are deterministic: rerunning a command with the same
+variables named ``PHENOPART_<SECTION>__<KEY>``; a section or key that no
+command reads, from either source, is a config error.  All artifacts (CSV,
+SVG, report, manifest) are deterministic: rerunning a command with the same
 config produces byte-identical files, independent of ``--workers``.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
@@ -22,6 +23,7 @@ import argparse
 import ast
 import configparser
 import csv
+import inspect
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,9 +35,10 @@ from .analysis import (ap_verdict, check_dirac_necessary_conditions,
                        fit_convergence_order, particle_self_convergence,
                        predict_limit_mass, weak_measure_gap,
                        weighted_pointwise_error)
-from .discretize import ParticleEnsemble, build_profile, partition_support
+from .discretize import (PROFILES, ParticleEnsemble, build_profile,
+                         partition_support)
 from .dynamics import RunConfig, integrate
-from .model import build_model
+from .model import MODELS, build_model
 from .reference import (ReferenceConfig, l1_distance, refine_until_stable,
                         solve_reference)
 from .regularize import build_cutoff, epsilon_rule, reconstruct
@@ -64,6 +67,14 @@ DEFAULTS = {
     "reproduce": {"n": "500", "t_final": "30.0"},
 }
 
+# keys without a default that some command reads when they are set
+OPTIONAL = {
+    "time": ("dt", "snapshot_every"),
+    "regularize": ("eps",),
+    "oracle": ("fixed_point_tol", "min_dt", "max_fixed_point_iter"),
+    "asymptote": ("window", "pos_tol", "mass_tol"),
+}
+
 ENV_PREFIX = "PHENOPART_"
 
 
@@ -86,12 +97,36 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         rest = key[len(ENV_PREFIX):]
         section, sep, option = rest.partition("__")
         if not sep or not section or not option:
-            continue
+            raise UsageError(f"malformed override {key}; expected "
+                             f"{ENV_PREFIX}<SECTION>__<KEY>")
         section = section.lower()
         if section not in cfg:
             cfg[section] = {}
         cfg[section][option.lower()] = value
+    _check_keys(cfg)
     return cfg
+
+
+def _check_keys(cfg: configparser.ConfigParser) -> None:
+    """Reject sections and keys that no command reads; [model] and [initial]
+    take the parameters of the chosen builder."""
+    allowed = {s: set(v) | set(OPTIONAL.get(s, ()))
+               for s, v in DEFAULTS.items()}
+    for section, key, table, skip in (("model", "name", MODELS, 1),
+                                      ("initial", "profile", PROFILES, 0)):
+        name = cfg[section][key]
+        if name not in table:
+            raise UsageError(f"unknown [{section}] {key} {name!r}; "
+                             f"known: {', '.join(sorted(table))}")
+        params = list(inspect.signature(table[name]).parameters)[skip:]
+        allowed[section].update(params)
+    for section in cfg.sections():
+        if section not in allowed:
+            raise UsageError(f"unknown config section [{section}]")
+        unknown = sorted(set(cfg[section]) - allowed[section])
+        if unknown:
+            raise UsageError(
+                f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
 
 def _num(text: str) -> float:
@@ -210,14 +245,10 @@ def write_report(path: str, pairs) -> None:
 
 
 def write_manifest(cfg: configparser.ConfigParser, path: str) -> None:
-    """Resolved configuration, sorted; output paths and worker counts are
-    session details and stay out of it."""
+    """Resolved configuration, sorted."""
     out = configparser.ConfigParser(interpolation=None)
     for section in sorted(cfg.sections()):
-        keep = {k: v for k, v in sorted(cfg[section].items())
-                if k not in ("out", "workers")}
-        if keep:
-            out[section] = keep
+        out[section] = dict(sorted(cfg[section].items()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         out.write(fh)
 
@@ -344,9 +375,8 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
     fin = traj.final
 
     os.makedirs(out, exist_ok=True)
-    if traj.series:
-        keys, rows = _series_rows(traj)
-        write_csv(os.path.join(out, "series.csv"), keys, rows)
+    keys, rows = _series_rows(traj)
+    write_csv(os.path.join(out, "series.csv"), keys, rows)
     header, rows = _state_rows(fin)
     write_csv(os.path.join(out, "final.csv"), header, rows)
 

@@ -20,7 +20,7 @@ on (0, 1) with h = 1/N yields exactly N particles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -53,17 +53,14 @@ class SpacingError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialDensity:
-    """Initial profile: evaluator over point rows, declared support and order.
+    """Initial profile: evaluator over point rows and declared support.
 
     evaluator(X(n,d)) -> (n,) must vanish identically outside `support`.
-    `k_reg` is the declared Sobolev regularity order used by rate reports.
     """
 
     name: str
     evaluator: Callable
     support: Box
-    k_reg: int = 1
-    params: dict = field(default_factory=dict)
 
     def __call__(self, X) -> np.ndarray:
         pts = as_points(X, self.support.dim)
@@ -292,7 +289,7 @@ def _profile_one_minus_x() -> InitialDensity:
     return InitialDensity(
         name="one-minus-x",
         evaluator=lambda X: 1.0 - X[:, 0],
-        support=support, k_reg=1)
+        support=support)
 
 
 def _profile_x_one_minus_x() -> InitialDensity:
@@ -300,7 +297,7 @@ def _profile_x_one_minus_x() -> InitialDensity:
     return InitialDensity(
         name="x-one-minus-x",
         evaluator=lambda X: X[:, 0] * (1.0 - X[:, 0]),
-        support=support, k_reg=1)
+        support=support)
 
 
 def _profile_x_squared() -> InitialDensity:
@@ -308,7 +305,7 @@ def _profile_x_squared() -> InitialDensity:
     return InitialDensity(
         name="x-squared",
         evaluator=lambda X: X[:, 0] ** 2,
-        support=support, k_reg=1)
+        support=support)
 
 
 def _profile_const(value: float = 6.0, lo: float = 0.05, hi: float = 1.0) -> InitialDensity:
@@ -316,8 +313,7 @@ def _profile_const(value: float = 6.0, lo: float = 0.05, hi: float = 1.0) -> Ini
     return InitialDensity(
         name="const",
         evaluator=lambda X: np.full(X.shape[0], float(value)),
-        support=support, k_reg=1,
-        params={"value": value, "lo": lo, "hi": hi})
+        support=support)
 
 
 def _profile_const6() -> InitialDensity:
@@ -339,8 +335,7 @@ def _profile_bump(center=0.5, width=0.3, scale: float = 1.0) -> InitialDensity:
         return vals
 
     return InitialDensity(
-        name="bump", evaluator=evaluator, support=support, k_reg=6,
-        params={"center": center.tolist(), "width": width.tolist(), "scale": scale})
+        name="bump", evaluator=evaluator, support=support)
 
 
 def _profile_bump_pair(centers=((-0.5, 0.0), (0.5, 0.0)), width=0.35,
@@ -360,8 +355,7 @@ def _profile_bump_pair(centers=((-0.5, 0.0), (0.5, 0.0)), width=0.35,
         return vals
 
     return InitialDensity(
-        name="bump-pair", evaluator=evaluator, support=support, k_reg=6,
-        params={"centers": c.tolist(), "width": width, "scale": scale})
+        name="bump-pair", evaluator=evaluator, support=support)
 
 
 PROFILES = {

@@ -11,6 +11,12 @@ with every non-local input evaluated against the current ensemble.  The
 stepper is fixed-step classical RK4; all interaction sums are recomputed at
 every stage.  Default step: dt = min(1e-3, h / (2 a_sup)).
 
+The integrator carries the ensemble as one state array S of shape
+(d + 2, n): rows 0..d-1 hold the position components, row d the volumes
+and row d + 1 the intensities.  Each stage returns the derivative K in the
+same layout, so a stage input is S + c dt K and the RK4 update is one
+expression on the whole state.
+
 Mutation pruning: rows are restricted once, at t = 0, to particles whose
 initial position lies within supp_x m padded by a_sup T (no other particle
 can ever enter the mutation region); columns are restricted each stage to
@@ -23,7 +29,7 @@ noted):
   maximal excess is recorded
 - support bound: max_i |x_i(t) - x_i(0)| <= a_sup t; maximal excess recorded
 - volume positivity: min w_i > 0
-- intensity sign alarm: nu_i < -tol * max_j nu_j aborts the run (negative
+- intensity sign alarm: nu_i < -NU_ALARM * max_j nu_j aborts the run (negative
   intensities of that size mean the discretization has broken down; they
   are never clamped)
 - finiteness of the state after every step
@@ -32,7 +38,7 @@ noted):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,6 +56,9 @@ __all__ = [
     "integrate",
     "default_dt",
 ]
+
+
+NU_ALARM = 1e-10    # abort when nu < -NU_ALARM * max(nu)
 
 
 class IntegrationError(RuntimeError):
@@ -70,7 +79,6 @@ class RunConfig:
     t_final: float
     dt: Optional[float] = None          # None: default_dt(h, a_sup)
     snapshot_every: Optional[int] = None  # None: ~40 snapshots over the run
-    nu_alarm: float = 1e-10             # abort when nu < -nu_alarm * max(nu)
 
     def __post_init__(self):
         if self.t_final < 0:
@@ -109,38 +117,48 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-class _MutationPruning:
-    """Fixed row set (initial positions + a_sup*T padding) for mutation sums."""
-
-    def __init__(self, model: ModelSpec, ens: ParticleEnsemble, T: float):
-        self.active = model.mutation is not None
-        if self.active:
-            padded = model.support_m_x.expand(model.a_sup * T)
-            self.rows = np.flatnonzero(padded.contains(ens.positions))
-        else:
-            self.rows = np.empty(0, dtype=np.int64)
+def _mutation_rows(model: ModelSpec, ens: ParticleEnsemble,
+                   T: float) -> np.ndarray:
+    """Fixed row set (initial positions + a_sup*T padding) for mutation sums;
+    empty without mutation."""
+    if model.mutation is None:
+        return np.empty(0, dtype=np.int64)
+    padded = model.support_m_x.expand(model.a_sup * T)
+    return np.flatnonzero(padded.contains(ens.positions))
 
 
-def _stage_rhs(model: ModelSpec, t: float, x: np.ndarray, w: np.ndarray,
-               nu: np.ndarray, mut: _MutationPruning):
+def _pack(ens: ParticleEnsemble) -> np.ndarray:
+    """The (d + 2, n) state array of an ensemble."""
+    return np.vstack([ens.positions.T, ens.volumes, ens.intensities])
+
+
+def _points(S: np.ndarray) -> np.ndarray:
+    """Position rows of a packed array as (n, d) points."""
+    # C-contiguous: free in 1D; in 2D a strided view slows every model copy
+    return np.ascontiguousarray(S[:S.shape[0] - 2].T)
+
+
+def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray,
+               mut_rows: np.ndarray) -> np.ndarray:
+    d = S.shape[0] - 2
+    x = _points(S)
+    w, nu = S[d], S[d + 1]
     alpha = nu * w
     I = advection_inputs(model, t, x, x, alpha)
-    dx = velocity_field(model, t, x, I)
+    K = np.empty_like(S)
+    K[:d] = velocity_field(model, t, x, I).T
     div = divergence_field(model, t, x, x, alpha, I)
     I_g = nonlocal_field(model.kernel_g, t, x, x, alpha)
     R = np.asarray(model.growth(t, x, I_g), dtype=float)
-    dw = div * w
-    dnu = (R - div) * nu
-    if mut.active and mut.rows.size:
-        rows = mut.rows
+    K[d] = div * w
+    K[d + 1] = (R - div) * nu
+    if mut_rows.size:
         cols = np.flatnonzero(model.support_m_y.contains(x))
         if cols.size:
-            I_d = nonlocal_field(model.kernel_d, t, x[rows], x, alpha)
-            M = np.asarray(model.mutation(t, x[rows], x[cols], I_d))
-            influx = pair_sum(M * alpha[cols][None, :], axis=-1)
-            dnu = dnu.copy()
-            dnu[rows] += influx
-    return dx, dw, dnu
+            I_d = nonlocal_field(model.kernel_d, t, x[mut_rows], x, alpha)
+            M = np.asarray(model.mutation(t, x[mut_rows], x[cols], I_d))
+            K[d + 1, mut_rows] += pair_sum(M * alpha[cols][None, :], axis=-1)
+    return K
 
 
 def rhs(model: ModelSpec, ens: ParticleEnsemble):
@@ -150,9 +168,9 @@ def rhs(model: ModelSpec, ens: ParticleEnsemble):
     currently inside supp_x m receive influx, which is the T -> 0 limit of
     the integrator's fixed row set.
     """
-    mut = _MutationPruning(model, ens, 0.0)
-    return _stage_rhs(model, ens.time, ens.positions, ens.volumes,
-                      ens.intensities, mut)
+    K = _stage_rhs(model, ens.time, _pack(ens),
+                   _mutation_rows(model, ens, 0.0))
+    return _points(K), K[-2], K[-1]
 
 
 def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Trajectory:
@@ -160,90 +178,62 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
 
     Deterministic by construction: fixed step count, fixed-order pairwise
     reductions, no adaptivity, no randomness.  Identical inputs produce
-    bit-identical trajectories.
+    bit-identical trajectories.  t_final = 0 takes no step and returns the
+    initial state with its one series row.
     """
     if ens0.n == 0:
         raise IntegrationError("cannot integrate an empty ensemble")
     T = cfg.t_final
-    dt_req = cfg.dt if cfg.dt is not None else default_dt(ens0.h, model.a_sup)
-    if T == 0.0:
-        snap = ens0.copy()
-        monitors = MonitorReport(
-            mass_bound=max(ens0.mass(), model.mass_bound_factor),
-            mass_excess_max=0.0, support_excess_max=0.0,
-            w_min=float(np.min(ens0.volumes)),
-            nu_min=float(np.min(ens0.intensities)),
-            ok=True)
-        series = {k: np.zeros(1) for k in
-                  ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")}
-        series["t"][0] = ens0.time
-        series["mass"][0] = ens0.mass()
-        return Trajectory(model=model, dt=dt_req, n_steps=0,
-                          snapshots=[snap], series=series, monitors=monitors)
-
-    n_steps = max(1, int(math.ceil(T / dt_req - 1e-9)))
-    dt = T / n_steps
+    dt = cfg.dt if cfg.dt is not None else default_dt(ens0.h, model.a_sup)
+    n_steps = 0 if T == 0.0 else max(1, int(math.ceil(T / dt - 1e-9)))
+    dt = T / n_steps if n_steps else dt
     snap_every = cfg.snapshot_every or max(1, n_steps // 40)
 
-    x = ens0.positions.copy()
-    w = ens0.volumes.copy()
-    nu = ens0.intensities.copy()
-    x0 = ens0.positions.copy()
+    d = ens0.dim
+    S = _pack(ens0)
+    x0 = ens0.positions
     t0 = ens0.time
-    mut = _MutationPruning(model, ens0, T)
+    mut_rows = _mutation_rows(model, ens0, T)
 
     mass = ens0.mass()
     bound = max(mass, model.mass_bound_factor)
     mass_excess = 0.0
-    support_excess = -math.inf
-    w_min_seen = float(np.min(w))
-    nu_min_seen = float(np.min(nu))
+    # maximum over the steps taken; a run without steps reports 0
+    support_excess = -math.inf if n_steps else 0.0
+    w_min_seen = float(np.min(S[d]))
+    nu_min_seen = float(np.min(S[d + 1]))
 
-    series = {k: np.zeros(n_steps + 1) for k in
-              ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")}
-
-    def record(i, t, mass, nu_min, nu_max, w_min, speed_max):
-        series["t"][i] = t
-        series["mass"][i] = mass
-        series["nu_min"][i] = nu_min
-        series["nu_max"][i] = nu_max
-        series["w_min"][i] = w_min
-        series["w_max"][i] = np.max(w)
-        series["speed_max"][i] = speed_max
-
+    rows = [(t0, mass, nu_min_seen, np.max(S[d + 1]), w_min_seen,
+             np.max(S[d]), 0.0)]
     snapshots = [ens0.copy()]
-    record(0, t0, mass, nu_min_seen, float(np.max(nu)), w_min_seen, 0.0)
 
     for step in range(n_steps):
         t = t0 + step * dt
-        k1 = _stage_rhs(model, t, x, w, nu, mut)
-        speed_max = float(np.max(np.sqrt(pair_sum(k1[0] * k1[0], axis=-1))))
-        k2 = _stage_rhs(model, t + 0.5 * dt, x + 0.5 * dt * k1[0],
-                        w + 0.5 * dt * k1[1], nu + 0.5 * dt * k1[2], mut)
-        k3 = _stage_rhs(model, t + 0.5 * dt, x + 0.5 * dt * k2[0],
-                        w + 0.5 * dt * k2[1], nu + 0.5 * dt * k2[2], mut)
-        k4 = _stage_rhs(model, t + dt, x + dt * k3[0],
-                        w + dt * k3[1], nu + dt * k3[2], mut)
-        x = x + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        w = w + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        nu = nu + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        k1 = _stage_rhs(model, t, S, mut_rows)
+        v = _points(k1)
+        speed_max = float(np.max(np.sqrt(pair_sum(v * v, axis=-1))))
+        k2 = _stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k1, mut_rows)
+        k3 = _stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k2, mut_rows)
+        k4 = _stage_rhs(model, t + dt, S + dt * k3, mut_rows)
+        S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_next = t0 + (step + 1) * dt
 
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))
-                and np.all(np.isfinite(nu))):
-            for name, arr in (("position", x), ("volume", w), ("intensity", nu)):
-                bad = np.flatnonzero(~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1))
-                if bad.size:
-                    raise IntegrationError(
-                        f"non-finite {name} for particle {int(bad[0])} "
-                        f"at t={t_next:.6g}")
+        finite = np.isfinite(S)
+        if not finite.all():
+            groups = (("position", finite[:d].all(axis=0)),
+                      ("volume", finite[d]), ("intensity", finite[d + 1]))
+            name, ok = next(g for g in groups if not g[1].all())
+            raise IntegrationError(
+                f"non-finite {name} for particle {int(np.argmin(ok))} "
+                f"at t={t_next:.6g}")
+        x, w, nu = _points(S), S[d], S[d + 1]
         nu_max = float(np.max(nu))
         nu_min = float(np.min(nu))
-        if nu_min < -cfg.nu_alarm * max(nu_max, 1e-300):
+        if nu_min < -NU_ALARM * max(nu_max, 1e-300):
             i = int(np.argmin(nu))
             raise IntegrationError(
                 f"negative intensity nu[{i}]={nu_min:.3e} at t={t_next:.6g} "
-                f"(alarm threshold {-cfg.nu_alarm:.1e} * max nu); intensities "
+                f"(alarm threshold {-NU_ALARM:.1e} * max nu); intensities "
                 "are never clamped, the run is aborted instead")
         wm = float(np.min(w))
         if wm <= 0.0:
@@ -259,13 +249,15 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
         w_min_seen = min(w_min_seen, wm)
         nu_min_seen = min(nu_min_seen, nu_min)
 
-        record(step + 1, t_next, mass, nu_min, nu_max, wm, speed_max)
+        rows.append((t_next, mass, nu_min, nu_max, wm, np.max(w), speed_max))
         if (step + 1) % snap_every == 0 or step + 1 == n_steps:
             snapshots.append(ParticleEnsemble(
                 time=t_next, positions=x.copy(), volumes=w.copy(),
                 intensities=nu.copy(), h=ens0.h,
                 index_set=ens0.index_set.copy()))
 
+    keys = ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")
+    series = {k: np.array(col, dtype=float) for k, col in zip(keys, zip(*rows))}
     monitors = MonitorReport(
         mass_bound=bound,
         mass_excess_max=max(mass_excess, 0.0),

@@ -41,7 +41,7 @@ process counts regardless of threading configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,10 +119,6 @@ class Box:
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
 
     def expand(self, radius: float) -> "Box":
         return Box(self.lo - radius, self.hi + radius)
@@ -212,8 +208,6 @@ class ModelSpec:
       max(initial mass, I_star / psi_g_min).  I_star = inf declares the
       hypothesis unavailable (monitor falls back to vacuous bound).
     - M_bar: uniform bound on m; psi_g_min: uniform lower bound on psi_g.
-    - kappa, k_reg: declared convergence/regularity orders used by the
-      optimal bandwidth rule.
     """
 
     name: str
@@ -236,9 +230,6 @@ class ModelSpec:
     M_bar: float = 0.0
     K_const: float = 0.0
     psi_g_min: float = 1.0
-    kappa: int = 1
-    k_reg: int = 1
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -630,8 +621,6 @@ def build_advsel1d(support_v0: Box, r0: float = 6.0, r1: float = 4.0) -> ModelSp
         kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=0.25,
         I_star=I_star, r_star=r_star, psi_g_min=1.0,
-        kappa=1, k_reg=1,
-        params={"r0": r0, "r1": r1},
     )
 
 
@@ -657,7 +646,6 @@ def build_logistic0d(support_v0: Box, r0: float = 1.0) -> ModelSpec:
         kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=0.0,
         I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0,
-        params={"r0": r0},
     )
 
 
@@ -714,8 +702,6 @@ def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> Mo
         kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=max(abs(drift0), 1.0),
         I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0,
-        kappa=1, k_reg=2,
-        params={"drift0": drift0, "r0": r0},
     )
 
 
@@ -753,7 +739,6 @@ def build_twotrait2d(support_v0: Box,
         kernels_a=(moment_kernel(0), moment_kernel(1)),
         kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=a_sup,
-        params={"a1": a1, "a2": a2},
     )
 
 

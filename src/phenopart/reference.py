@@ -289,19 +289,12 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
         half, mid_edges = advance(vn, t, 0.5 * Dt, edges, depth + 1)
         return advance(half, t + 0.5 * Dt, 0.5 * Dt, mid_edges, depth + 1)
 
-    if T == 0.0:
-        rho0 = float(pair_sum(_support_weights(v, cfg.dx) * v))
-        return ReferenceSolution(
-            x=x, v=v, t_final=0.0, dx=cfg.dx, dt=cfg.dt,
-            rho_times=np.array([0.0]), rho_values=np.array([rho0]),
-            min_value=min_seen, fixed_point_iters_max=0, subdivisions=0)
-
     edges = None
     if not has_mut:
         edges = np.array([float(v0.support.lo[0]), float(v0.support.hi[0])])
 
-    n_steps = max(1, int(round(T / cfg.dt)))
-    dt = T / n_steps
+    n_steps = 0 if T == 0.0 else max(1, int(round(T / cfg.dt)))
+    dt = T / n_steps if n_steps else cfg.dt
     rho_t = np.zeros(n_steps + 1)
     rho_v = np.zeros(n_steps + 1)
     rho_v[0] = float(pair_sum(_support_weights(v, cfg.dx) * v))

@@ -11,9 +11,9 @@ and projects a function v onto the same particle supports via
 
 The reconstruction error splits into a smoothing part eps^r and a quadrature
 part (h/eps)^kappa (+ h^kappa), with kappa the convergence order of the
-particle flow (declared on the model: k_reg for local advection, k_reg - 1
-otherwise).  Balancing the two parts gives the bandwidth rule
-eps(h) = h^{kappa/(kappa+r)}.
+particle flow.  Balancing the two parts gives the bandwidth rule
+eps(h) = h^{kappa/(kappa+r)}; `epsilon_rule` takes kappa and r as
+arguments (or the exponent q directly).
 
 Cutoffs are product-form in d dimensions: phi(x) = prod_k profile(x_k).
 All profiles have compact support (the analytic Gaussian is hard-zeroed

@@ -248,3 +248,29 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "failed:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, word", [
+        ("[time]\nt_finale = 0.01\n", "t_finale"),
+        ("[tyme]\nt_final = 0.01\n", "tyme"),
+        ("[model]\nname = advsel1d\nr2 = 1.0\n", "r2"),
+        ("[initial]\nprofile = bump\nwidht = 0.2\n", "widht"),
+    ], ids=["key", "section", "model-param", "profile-param"])
+    def test_unknown_config_input(self, tmp_path, capsys, text, word):
+        cfg = _write(tmp_path, text)
+        code = main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert word in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("var, word", [
+        ("PHENOPART_TIME__T_FINALE", "t_finale"),
+        ("PHENOPART_TIME_T_FINAL", "PHENOPART_TIME_T_FINAL"),
+    ], ids=["key", "malformed"])
+    def test_unknown_override(self, tmp_path, capsys, monkeypatch, var, word):
+        monkeypatch.setenv(var, "0.01")
+        cfg = _write(tmp_path, SIM_CFG)
+        code = main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert word in capsys.readouterr().err

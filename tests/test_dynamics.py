@@ -132,6 +132,33 @@ def test_negative_intensity_aborts():
         pp.integrate(model, ens, pp.RunConfig(t_final=0.5))
 
 
+def test_non_finite_state_names_quantity_and_particle():
+    support = pp.Box([0.0], [1.0])
+
+    def zero_field(t, X, I):
+        return np.zeros_like(X)
+
+    def zero_scalar(t, X, I):
+        return np.zeros(X.shape[0])
+
+    def blowup_growth(t, X, I):
+        # the right half's growth rate turns infinite partway through
+        return np.where((X[:, 0] > 0.5) & (t > 0.042), np.inf, 0.0)
+
+    model = pp.ModelSpec(
+        name="blowup", dim=1, advection=zero_field,
+        advection_div_x=zero_scalar, growth=blowup_growth,
+        kernels_a=(pp.constant_kernel(1.0),),
+        kernel_g=pp.constant_kernel(1.0),
+        support_v0=support, a_sup=0.0)
+    prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
+    ens = pp.partition_support(prof, model, 0.25, T=0.1)
+    assert ens.positions[:, 0].tolist() == [0.125, 0.375, 0.625, 0.875]
+    with pytest.raises(pp.IntegrationError,
+                       match=r"non-finite intensity for particle 2 at t=0\.05$"):
+        pp.integrate(model, ens, pp.RunConfig(t_final=0.1, dt=0.01))
+
+
 @pytest.mark.parametrize("t_final", [0.0, 1.0])
 def test_empty_ensemble_is_rejected(advsel_model, t_final):
     empty = pp.ParticleEnsemble(time=0.0, positions=np.zeros((0, 1)),
@@ -151,6 +178,20 @@ class TestBookkeeping:
         assert traj.final.positions.tobytes() == ens.positions.tobytes()
         assert traj.series["t"].shape == (1,)
         assert traj.monitors.ok
+
+    def test_zero_horizon_series_row_is_the_initial_row(self, advsel_profile,
+                                                        advsel_model):
+        ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=0.01)
+        zero = pp.integrate(advsel_model, ens, pp.RunConfig(t_final=0.0))
+        one = pp.integrate(advsel_model, ens,
+                           pp.RunConfig(t_final=0.01, dt=0.01))
+        assert one.n_steps == 1
+        for key, values in zero.series.items():
+            assert values.tolist() == [one.series[key][0]], key
+        assert zero.series["nu_max"][0] > zero.series["nu_min"][0] > 0.0
+        assert zero.dt == pp.default_dt(ens.h, advsel_model.a_sup)
+        assert zero.monitors.mass_excess_max == 0.0
+        assert zero.monitors.support_excess_max == 0.0
 
     def test_snapshot_cadence(self, advsel_profile, advsel_model):
         ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=0.1)
