@@ -197,9 +197,9 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
 
     mass = ens0.mass()
     bound = max(mass, model.mass_bound_factor)
+    # maxima clipped at 0; the support excess is exactly 0 at t0
     mass_excess = 0.0
-    # maximum over the steps taken; a run without steps reports 0
-    support_excess = -math.inf if n_steps else 0.0
+    support_excess = 0.0
     w_min_seen = float(np.min(S[d]))
     nu_min_seen = float(np.min(S[d + 1]))
 
@@ -260,7 +260,7 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     series = {k: np.array(col, dtype=float) for k, col in zip(keys, zip(*rows))}
     monitors = MonitorReport(
         mass_bound=bound,
-        mass_excess_max=max(mass_excess, 0.0),
+        mass_excess_max=mass_excess,
         support_excess_max=support_excess,
         w_min=w_min_seen,
         nu_min=nu_min_seen,

@@ -26,11 +26,14 @@ term through the non-local inputs:
     div A(t, x) = (div_x a)(t, x, I(x))
                   + sum_k da/dI_k (t, x, I(x)) . sum_j nu_j w_j grad_x psi_a^k(t, x, x_j).
 
+The advection kernels declare the model's structure.  A model without
+advection kernels has local advection.  The chain-rule sum runs only over
+the graded kernels, those that depend on x: a constant or x-free kernel has
+zero x-gradient.  So da/dI (``advection_dI``) is declared exactly when some
+advection kernel is graded, and each graded kernel declares its x-gradient.
 The advection inputs I = (I_a^k) are computed once by
 :func:`advection_inputs` and handed to both :func:`velocity_field` and
-:func:`divergence_field`.  The chain-rule sum runs only over kernels that
-depend on x: a constant or x-free kernel has zero x-gradient, so a model
-whose advection kernels are all of that kind never evaluates da/dI.
+:func:`divergence_field`.
 
 Reduction policy: every weighted sum over particles goes through numpy's
 pairwise summation over the fixed index order (``np.add.reduce``), never
@@ -55,7 +58,6 @@ __all__ = [
     "EvaluationError",
     "constant_kernel",
     "moment_kernel",
-    "function_kernel",
     "pair_sum",
     "as_points",
     "nonlocal_field",
@@ -147,7 +149,8 @@ class Kernel:
     x-gradient with shape (n, m, d).  ``const`` declares psi identically
     constant; ``x_free`` declares psi(t, x, y) = f(t, y), in which case the
     x-gradient vanishes and field evaluations collapse to a single weighted
-    sum shared by all evaluation points.
+    sum shared by all evaluation points.  A kernel that is neither is
+    graded: it depends on x.
     """
 
     name: str
@@ -155,6 +158,11 @@ class Kernel:
     grad_x: Optional[Callable] = None
     const: Optional[float] = None
     x_free: bool = False
+
+    @property
+    def graded(self) -> bool:
+        """True when psi depends on x, so its x-gradient need not vanish."""
+        return self.const is None and not self.x_free
 
 
 def constant_kernel(value: float, name: str | None = None) -> Kernel:
@@ -175,11 +183,6 @@ def moment_kernel(axis: int, name: str | None = None) -> Kernel:
     return Kernel(name=name or f"moment[{axis}]", func=_func, x_free=True)
 
 
-def function_kernel(func: Callable, grad_x: Callable | None = None,
-                    name: str = "kernel") -> Kernel:
-    return Kernel(name=name, func=func, grad_x=grad_x)
-
-
 # ---------------------------------------------------------------------------
 # model specification
 
@@ -190,11 +193,12 @@ class ModelSpec:
 
     Evaluator contracts (all vectorized over rows of X):
 
-    - advection(t, X(n,d), I(n,n_a)) -> (n, d)
+    - advection(t, X(n,d), I(n,n_a)) -> (n, d); n_a = len(kernels_a), and
+      no advection kernels (the default) declares the advection local
     - advection_div_x(t, X, I) -> (n,): x-divergence at frozen non-local input
-    - advection_dI(t, X, I) -> (n, n_a, d) or None; None declares the
-      advection local (independent of its non-local inputs), and the
-      chain-rule divergence term is identically zero
+    - advection_dI(t, X, I) -> (n, n_a, d): given exactly when some advection
+      kernel is graded (depends on x), and only then evaluated; each graded
+      advection kernel must declare grad_x
     - growth(t, X(n,d), I(n,)) -> (n,)
     - mutation(t, X(n,d), Y(m,d), I(n,)) -> (n, m) or None for m == 0
 
@@ -215,12 +219,11 @@ class ModelSpec:
     advection: Callable
     advection_div_x: Callable
     growth: Callable
-    kernels_a: tuple
     kernel_g: Kernel
     support_v0: Box
     a_sup: float
+    kernels_a: tuple = ()
     advection_dI: Optional[Callable] = None
-    growth_dI: Optional[Callable] = None
     mutation: Optional[Callable] = None
     kernel_d: Optional[Kernel] = None
     support_m_x: Optional[Box] = None
@@ -247,6 +250,14 @@ class ModelSpec:
             raise ValueError("mutation kernels/supports declared without mutation")
         if self.mutation is not None and any(p is None for p in parts):
             raise ValueError("mutation requires kernel_d and both m-supports")
+        graded = [k for k in self.kernels_a if k.graded]
+        for k in graded:
+            if k.grad_x is None:
+                raise ValueError(
+                    f"advection kernel {k.name} depends on x but has no grad_x")
+        if bool(graded) != (self.advection_dI is not None):
+            raise ValueError("advection_dI must be given exactly when an "
+                             "advection kernel depends on x")
 
     @property
     def n_a(self) -> int:
@@ -254,8 +265,8 @@ class ModelSpec:
 
     @property
     def is_local(self) -> bool:
-        """True when the advection ignores its non-local inputs."""
-        return self.advection_dI is None
+        """True when the advection has no non-local inputs."""
+        return not self.kernels_a
 
     @property
     def mass_bound_factor(self) -> float:
@@ -286,12 +297,8 @@ def nonlocal_grad_field(kernel: Kernel, t: float, X: np.ndarray, Y: np.ndarray,
                         alpha: np.ndarray) -> np.ndarray:
     """grad_x I(t, x_row) = sum_j alpha_j grad_x psi(t, x_row, y_j); (n, d)."""
     n, d = X.shape
-    if kernel.const is not None or kernel.x_free:
+    if not kernel.graded:
         return np.zeros((n, d))
-    if kernel.grad_x is None:
-        raise EvaluationError(
-            f"kernel {kernel.name} has no x-gradient; needed for the "
-            "divergence chain rule with non-local advection")
     grads = np.asarray(kernel.grad_x(t, X, Y))
     if grads.shape != (n, Y.shape[0], d):
         raise EvaluationError(
@@ -302,13 +309,10 @@ def nonlocal_grad_field(kernel: Kernel, t: float, X: np.ndarray, Y: np.ndarray,
 
 def advection_inputs(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
                      alpha: np.ndarray) -> np.ndarray:
-    """Stack of advection non-local inputs, shape (n, n_a).
-
-    Local models skip the sums entirely; their evaluators ignore the input.
-    """
-    n = X.shape[0]
-    if model.n_a == 0 or model.is_local:
-        return np.zeros((n, model.n_a))
+    """Stack of advection non-local inputs, shape (n, n_a); (n, 0) for a
+    local model."""
+    if model.is_local:
+        return np.zeros((X.shape[0], 0))
     cols = [nonlocal_field(k, t, X, Y, alpha) for k in model.kernels_a]
     return np.stack(cols, axis=1)
 
@@ -330,9 +334,8 @@ def divergence_field(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     if div.shape != (X.shape[0],):
         raise EvaluationError(
             f"advection_div_x returned shape {div.shape}, expected {(X.shape[0],)}")
-    graded = [k for k, ker in enumerate(model.kernels_a)
-              if ker.const is None and not ker.x_free]
-    if model.advection_dI is not None and graded:
+    graded = [k for k, ker in enumerate(model.kernels_a) if ker.graded]
+    if graded:
         dI = np.asarray(model.advection_dI(t, X, I), dtype=float)
         if dI.shape != (X.shape[0], model.n_a, model.dim):
             raise EvaluationError(
@@ -419,26 +422,6 @@ def fd_divergence(advection: Callable, dim: int) -> Callable:
         return out
 
     return _div
-
-
-def fd_advection_dI(advection: Callable, dim: int, n_a: int) -> Callable:
-    """Central-difference dA/dI_k of an advection evaluator; (n, n_a, d)."""
-
-    def _dI(t, X, I):
-        n = X.shape[0]
-        out = np.zeros((n, n_a, dim))
-        for k in range(n_a):
-            step = 6e-6 * np.maximum(1.0, np.abs(I[:, k]))
-            Ip = I.copy()
-            Im = I.copy()
-            Ip[:, k] += step
-            Im[:, k] -= step
-            ap = np.asarray(advection(t, X, Ip))
-            am = np.asarray(advection(t, X, Im))
-            out[:, k, :] = (ap - am) / (2.0 * step)[:, None]
-        return out
-
-    return _dI
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +594,10 @@ def build_advsel1d(support_v0: Box, r0: float = 6.0, r1: float = 4.0) -> ModelSp
     def growth(t, X, I):
         return r0 - r1 * X[:, 0] - I
 
-    def growth_dI(t, X, I):
-        return np.full(X.shape[0], -1.0)
-
     return ModelSpec(
         name="advsel1d", dim=1,
         advection=advection, advection_div_x=advection_div_x,
-        growth=growth, growth_dI=growth_dI,
-        kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
+        growth=growth, kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=0.25,
         I_star=I_star, r_star=r_star, psi_g_min=1.0,
     )
@@ -636,14 +615,10 @@ def build_logistic0d(support_v0: Box, r0: float = 1.0) -> ModelSpec:
     def growth(t, X, I):
         return r0 - I
 
-    def growth_dI(t, X, I):
-        return np.full(X.shape[0], -1.0)
-
     return ModelSpec(
         name="logistic0d", dim=support_v0.dim,
         advection=advection, advection_div_x=advection_div_x,
-        growth=growth, growth_dI=growth_dI,
-        kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
+        growth=growth, kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=0.0,
         I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0,
     )
@@ -665,8 +640,7 @@ def build_linadv1d(support_v0: Box) -> ModelSpec:
     return ModelSpec(
         name="linadv1d", dim=support_v0.dim,
         advection=advection, advection_div_x=advection_div_x,
-        growth=growth,
-        kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
+        growth=growth, kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=a_sup,
     )
 
@@ -674,9 +648,10 @@ def build_linadv1d(support_v0: Box) -> ModelSpec:
 def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> ModelSpec:
     """Non-local 1D toy: a(I) = drift0 - I_a, R(I) = r0 - I_g, psi = 1.
 
-    The advection depends on the measure only through its total mass, so the
-    chain-rule divergence term is exactly zero (constant kernels have zero
-    x-gradient) and is skipped; the non-local inputs still feed the velocity.
+    The advection depends on the measure only through its total mass: one
+    constant advection kernel makes it non-local, and since that kernel has
+    zero x-gradient the chain-rule divergence term is exactly zero, so the
+    model declares no dA/dI.  The non-local input still feeds the velocity.
     """
 
     def advection(t, X, I):
@@ -685,20 +660,13 @@ def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> Mo
     def advection_div_x(t, X, I):
         return np.zeros(X.shape[0])
 
-    def advection_dI(t, X, I):
-        return np.full((X.shape[0], 1, 1), -1.0)
-
     def growth(t, X, I):
         return r0 - I
-
-    def growth_dI(t, X, I):
-        return np.full(X.shape[0], -1.0)
 
     return ModelSpec(
         name="nldrift1d", dim=1,
         advection=advection, advection_div_x=advection_div_x,
-        advection_dI=advection_dI,
-        growth=growth, growth_dI=growth_dI,
+        growth=growth,
         kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=max(abs(drift0), 1.0),
         I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0,
@@ -713,10 +681,11 @@ def build_twotrait2d(support_v0: Box,
 
     The advection components are expression strings over t, x1, x2, I1, I2,
     where I_j is the j-th moment of the measure (psi_a^(j)(t, x, y) = y_j).
-    Divergence and dA/dI fall back to central differences.  There is no
-    selection or mutation; mass is conserved and the saturation hypothesis is
-    unavailable (I_star = inf), so this preset is qualitative: use it for
-    limit-cluster geometry, not for mass-bound studies.
+    The divergence falls back to central differences.  The moment kernels
+    are x-free, so the chain-rule term vanishes and no dA/dI is declared.
+    There is no selection or mutation; mass is conserved and the saturation
+    hypothesis is unavailable (I_star = inf), so this preset is qualitative:
+    use it for limit-cluster geometry, not for mass-bound studies.
     """
     from .expressions import compile_expression
 
@@ -734,7 +703,6 @@ def build_twotrait2d(support_v0: Box,
         name="twotrait2d", dim=2,
         advection=advection,
         advection_div_x=fd_divergence(advection, 2),
-        advection_dI=fd_advection_dI(advection, 2, 2),
         growth=growth,
         kernels_a=(moment_kernel(0), moment_kernel(1)),
         kernel_g=constant_kernel(1.0),

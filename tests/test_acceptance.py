@@ -299,12 +299,12 @@ def test_criterion_10_nonlocal_toy_self_convergence():
 
     # divergence with the non-local chain-rule term against a central
     # difference of the velocity field itself
-    psi = pp.function_kernel(
-        lambda t, X, Y: np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2),
+    psi = pp.Kernel(
+        name="gauss-pair",
+        func=lambda t, X, Y: np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2),
         grad_x=lambda t, X, Y: (-2.0 * (X[:, None, 0] - Y[None, :, 0])
                                 * np.exp(-(X[:, None, 0] - Y[None, :, 0])
-                                         ** 2))[:, :, None],
-        name="gauss-pair")
+                                         ** 2))[:, :, None])
     chain = pp.ModelSpec(
         name="chain", dim=1,
         advection=lambda t, X, I: (X[:, 0] * (1 - X[:, 0])

@@ -1,5 +1,7 @@
 """Order fits, cluster detection, limit predictions, preservation verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ class TestLimitMassPrediction:
         model = pp.build_model("advsel1d", prof.support)
         with pytest.raises(pp.PredictionError, match="single point"):
             pp.predict_limit_mass(model, [[0.5], [0.6]])
+
+    def test_growth_rising_in_I_is_rejected(self):
+        """R = 1 + 2I - I^2 changes sign once on the bracket [0, 3] but rises
+        on [0, 1]: the prediction refuses it instead of returning the root."""
+        prof = pp.build_profile("one-minus-x")
+        model = dataclasses.replace(
+            pp.build_model("logistic0d", prof.support), I_star=2.0,
+            growth=lambda t, X, I: 1.0 + 2.0 * I - I ** 2)
+        with pytest.raises(pp.PredictionError,
+                           match="growth must be strictly decreasing in I"):
+            pp.predict_limit_mass(model, [0.5])
 
 
 class TestVerdict:

@@ -193,6 +193,16 @@ class TestBookkeeping:
         assert zero.monitors.mass_excess_max == 0.0
         assert zero.monitors.support_excess_max == 0.0
 
+    def test_support_excess_max_is_never_negative(self):
+        """The support excess is 0 at t0, so its maximum reads 0 when every
+        particle stays strictly inside its reach (here x0 e^{-t})."""
+        prof = pp.build_profile("one-minus-x")
+        model = pp.build_model("linadv1d", prof.support)
+        ens = pp.partition_support(prof, model, 1 / 10, T=0.5)
+        traj = pp.integrate(model, ens, pp.RunConfig(t_final=0.5))
+        assert traj.n_steps > 0
+        assert traj.monitors.support_excess_max == 0.0
+
     def test_snapshot_cadence(self, advsel_profile, advsel_model):
         ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=0.1)
         traj = pp.integrate(advsel_model, ens,

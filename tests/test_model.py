@@ -35,9 +35,9 @@ def test_moment_kernel_matches_direct_sum():
 
 def test_function_kernel_matches_loop(random_ensemble):
     ens = random_ensemble
-    ker = pp.function_kernel(
-        lambda t, X, Y: np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2),
-        name="gauss")
+    ker = pp.Kernel(
+        name="gauss",
+        func=lambda t, X, Y: np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2))
     alpha = ens.alpha()
     xq = np.array([[0.3], [0.71]])
     out = nonlocal_field(ker, 0.0, xq, ens.positions, alpha)
@@ -113,10 +113,10 @@ def test_mutation_declaration_must_be_complete(with_mutation, declared):
 
 def test_eval_nonlocal_rejects_nonfinite(random_ensemble):
     ens = random_ensemble
-    bad = pp.function_kernel(
-        lambda t, X, Y: np.where(Y[None, :, 0] > 0.5, np.nan, 1.0)
-        * np.ones((X.shape[0], 1)),
-        name="poisoned")
+    bad = pp.Kernel(
+        name="poisoned",
+        func=lambda t, X, Y: np.where(Y[None, :, 0] > 0.5, np.nan, 1.0)
+        * np.ones((X.shape[0], 1)))
     model = pp.ModelSpec(
         name="bad", dim=1,
         advection=lambda t, X, I: np.zeros_like(X),
@@ -133,12 +133,12 @@ def test_eval_nonlocal_rejects_nonfinite(random_ensemble):
 
 
 def _chainrule_model():
-    psi = pp.function_kernel(
-        lambda t, X, Y: np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2),
+    psi = pp.Kernel(
+        name="gauss-pair",
+        func=lambda t, X, Y: np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2),
         grad_x=lambda t, X, Y: (-2.0 * (X[:, None, 0] - Y[None, :, 0])
                                 * np.exp(-(X[:, None, 0] - Y[None, :, 0]) ** 2)
-                                )[:, :, None],
-        name="gauss-pair")
+                                )[:, :, None])
     return pp.ModelSpec(
         name="chainrule-toy", dim=1,
         advection=lambda t, X, I: (X[:, 0] * (1 - X[:, 0])
@@ -182,18 +182,17 @@ def test_rhs_sums_graded_kernel_once(random_ensemble):
 
 
 def test_moment_kernels_skip_the_chain_rule_term():
-    """Moment kernels have no x-gradient, so one stage never evaluates dA/dI:
-    it makes one velocity evaluation plus four for the FD divergence.  The
-    divergence still matches central differences of the velocity."""
+    """Moment kernels have no x-gradient, so the model declares no dA/dI and
+    one stage makes one velocity evaluation plus four for the FD divergence.
+    The divergence still matches central differences of the velocity."""
     model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
-    counts = {"advection": 0, "dI": 0}
+    counts = {"advection": 0}
     adv = _counted(model.advection, counts, "advection")
     model = dataclasses.replace(
-        model, advection=adv, advection_div_x=pp.fd_divergence(adv, 2),
-        advection_dI=_counted(pp.fd_advection_dI(adv, 2, 2), counts, "dI"))
+        model, advection=adv, advection_div_x=pp.fd_divergence(adv, 2))
     ens = make_ensemble(40, seed=7, dim=2)
     pp.rhs(model, ens)
-    assert counts == {"advection": 5, "dI": 0}
+    assert counts == {"advection": 5}
 
     step = 1e-6
     for xq in ([0.2, 0.7], [-0.5, 0.3], [0.9, -0.8]):
@@ -204,7 +203,6 @@ def test_moment_kernels_skip_the_chain_rule_term():
             dn = pp.eval_velocity(model, 0.0, np.subtract(xq, e), ens)[axis]
             fd += (up - dn) / (2 * step)
         assert div == pytest.approx(fd, abs=1e-6)
-    assert counts["dI"] == 0
 
 
 def test_fd_divergence_fallback_matches_analytic(advsel_model):
@@ -216,13 +214,65 @@ def test_fd_divergence_fallback_matches_analytic(advsel_model):
     np.testing.assert_allclose(got, want, atol=1e-7)
 
 
-def test_fd_advection_dI_on_linear_coupling():
-    # a = 1 - I: the I-derivative is exactly -1
-    adv = lambda t, X, I: (1.0 - I[:, 0])[:, None]
-    fd = pp.fd_advection_dI(adv, dim=1, n_a=1)
-    X = np.array([[0.2], [0.8]])
-    I = np.array([[0.3], [1.7]])
-    np.testing.assert_allclose(fd(0.0, X, I), -np.ones((2, 1, 1)), atol=1e-8)
+# ---------------------------------------------------------------------------
+# declared structure: the advection kernels decide locality and dA/dI
+
+
+def _advection_kernels(case):
+    psi = _chainrule_model().kernels_a[0]
+    return {"none": (), "constant": (pp.constant_kernel(1.0),),
+            "moment": (pp.moment_kernel(0),), "graded": (psi,),
+            "graded-no-grad": (dataclasses.replace(psi, grad_x=None),)}[case]
+
+
+_STRUCTURE = [
+    ("none", True, "advection_dI"),
+    ("constant", False, "advection_dI"),
+    ("moment", False, "advection_dI"),
+    ("graded", "advection_dI", False),
+    ("graded-no-grad", "grad_x", "grad_x"),
+]
+
+
+@pytest.mark.parametrize("declare_dI", [False, True], ids=["no-dI", "dI"])
+@pytest.mark.parametrize("case, without_dI, with_dI", _STRUCTURE,
+                         ids=[row[0] for row in _STRUCTURE])
+def test_advection_kernels_declare_the_structure(case, without_dI, with_dI,
+                                                 declare_dI):
+    """Local means no advection kernels; advection_dI comes exactly when a
+    kernel depends on x, and every such kernel declares grad_x.  An expected
+    string is the ValueError's match, a bool the model's is_local."""
+    base = _chainrule_model()
+    expected = with_dI if declare_dI else without_dI
+    parts = dict(kernels_a=_advection_kernels(case),
+                 advection_dI=base.advection_dI if declare_dI else None)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            dataclasses.replace(base, **parts)
+    else:
+        assert dataclasses.replace(base, **parts).is_local is expected
+
+
+@pytest.mark.parametrize("name, local", [
+    ("advsel1d", True), ("logistic0d", True), ("linadv1d", True),
+    ("nldrift1d", False), ("twotrait2d", False)])
+def test_preset_locality(name, local):
+    dim = 2 if name == "twotrait2d" else 1
+    model = pp.build_model(name, pp.Box([0.0] * dim, [1.0] * dim))
+    assert model.is_local is local
+    assert model.advection_dI is None
+
+
+def test_mass_feeds_the_velocity_without_advection_dI(random_ensemble):
+    """A constant advection kernel alone makes the model non-local: with
+    nldrift1d's advection and no dA/dI, a = drift0 - mass."""
+    model = dataclasses.replace(
+        pp.build_model("nldrift1d", pp.Box([0.0], [1.0]), drift0=2.0),
+        advection_dI=None)
+    assert not model.is_local
+    ens = random_ensemble
+    got = pp.eval_velocity(model, 0.0, [0.5], ens)[0]
+    assert got == pytest.approx(2.0 - ens.mass(), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

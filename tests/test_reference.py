@@ -73,7 +73,6 @@ def test_mutation_influx_closed_form():
     model = pp.ModelSpec(
         name="pure-mutation", dim=1, advection=no_field,
         advection_div_x=no_scalar, growth=no_scalar,
-        kernels_a=(pp.constant_kernel(1.0),),
         kernel_g=pp.constant_kernel(1.0), support_v0=sup, a_sup=0.0,
         mutation=lambda t, X, Y, I: np.full((X.shape[0], Y.shape[0]), 0.5),
         kernel_d=pp.constant_kernel(1.0),
