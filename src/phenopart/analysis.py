@@ -122,39 +122,32 @@ class ClusterReport:
     """Limit-cluster detection outcome.
 
     conclusive is False when the trajectory has not reached stationarity
-    inside the trailing window (positions still moving faster than
-    pos_tol / window, or total mass still drifting by more than the relative
-    mass_tol); in that case no clusters are reported.
+    inside the trailing window (see `detect_limit_clusters` for the fixed
+    window and tolerances); in that case no clusters are reported.
     """
 
     conclusive: bool
     clusters: tuple          # ((center (d,), mass), ...) sorted by first coord
     total_mass: float
-    max_speed: float
-    mass_drift: float
-    window: float
-    pos_tol: float
-    mass_tol: float
 
 
-def detect_limit_clusters(traj: Trajectory, window: Optional[float] = None,
-                          pos_tol: Optional[float] = None,
-                          mass_tol: float = 1e-3) -> ClusterReport:
+def detect_limit_clusters(traj: Trajectory) -> ClusterReport:
     """Group the final ensemble into clusters once the run is stationary.
 
-    Stationarity certificates over the trailing window: the maximal particle
-    speed stays below pos_tol / window, and the total mass moves by less than
-    mass_tol relative.  Clusters are connected components of the final
-    positions at linking distance pos_tol; clusters lighter than
-    mass_tol * total mass are discarded as numerical debris.  The reported
-    masses sum to the total mass up to that discard tolerance.
+    The trailing window is max(T/10, 10 dt), the position tolerance is
+    pos_tol = 10 h and the mass tolerance is mass_tol = 1e-3.  Stationarity
+    certificates over the window: the maximal particle speed stays below
+    pos_tol / window, and the total mass moves by less than mass_tol
+    relative.  Clusters are connected components of the final positions at
+    linking distance pos_tol; clusters lighter than mass_tol * total mass
+    are discarded as numerical debris.  The reported masses sum to the total
+    mass up to that discard tolerance.
     """
     ens = traj.final
     T = float(traj.series["t"][-1])
-    if window is None:
-        window = max(0.1 * T, 10.0 * traj.dt)
-    if pos_tol is None:
-        pos_tol = 10.0 * ens.h
+    window = max(0.1 * T, 10.0 * traj.dt)
+    pos_tol = 10.0 * ens.h
+    mass_tol = 1e-3
 
     t_arr = traj.series["t"]
     sel = t_arr >= T - window
@@ -167,8 +160,7 @@ def detect_limit_clusters(traj: Trajectory, window: Optional[float] = None,
 
     conclusive = (max_speed < pos_tol / window) and (mass_drift < mass_tol)
     if not conclusive:
-        return ClusterReport(False, (), mass_now, max_speed, mass_drift,
-                             window, pos_tol, mass_tol)
+        return ClusterReport(False, (), mass_now)
 
     alpha = ens.alpha()
     pos = ens.positions
@@ -201,8 +193,7 @@ def detect_limit_clusters(traj: Trajectory, window: Optional[float] = None,
             center = pair_sum(alpha[g][:, None] * pos[g], axis=0) / m
             clusters.append((center, m))
     clusters.sort(key=lambda cm: float(cm[0][0]))
-    return ClusterReport(True, tuple(clusters), mass_now, max_speed,
-                         mass_drift, window, pos_tol, mass_tol)
+    return ClusterReport(True, tuple(clusters), mass_now)
 
 
 def predict_limit_mass(model: ModelSpec, x_hat) -> float:
@@ -248,20 +239,19 @@ def predict_limit_mass(model: ModelSpec, x_hat) -> float:
 class ConditionResiduals:
     """Stationarity residuals of one candidate limit cluster."""
 
-    center: np.ndarray
     advection_residual: float   # |a(x_hat)| at the limit measure
     growth_residual: float      # |R(x_hat, I_g of the limit measure)|
     mutation_residual: float    # sup over samples of m(x, x_hat, I_d samples)
 
 
-def check_dirac_necessary_conditions(model: ModelSpec, clusters,
-                                     n_samples: int = 128) -> list:
+def check_dirac_necessary_conditions(model: ModelSpec, clusters) -> list:
     """Residuals of the conditions a weighted Dirac limit must satisfy.
 
     The candidate limit is sum_k m_k delta_{c_k}.  For each cluster:
     the advection must vanish at the center, the growth must vanish there
     under the limit measure's own non-local input, and mutation into any
-    point of the support must vanish (sampled over the padded support box).
+    point of the support must vanish (sampled at 128 points of the padded
+    support box).
     """
     clusters = list(clusters)
     if not clusters:
@@ -272,7 +262,7 @@ def check_dirac_necessary_conditions(model: ModelSpec, clusters,
 
     out = []
     box = active_box(model, 0.0).expand(0.5)
-    X_samples = box.sample(n_samples, seed=3)
+    X_samples = box.sample(128, seed=3)
     for k in range(centers.shape[0]):
         c = centers[k:k + 1]
         I_a = advection_inputs(model, 0.0, c, centers, masses)
@@ -282,15 +272,15 @@ def check_dirac_necessary_conditions(model: ModelSpec, clusters,
         g_res = abs(float(np.asarray(model.growth(0.0, c, I_g))[0]))
 
         if model.mutation is not None:
-            I_d = np.zeros(n_samples)
+            I_d = np.zeros(X_samples.shape[0])
             M = np.asarray(model.mutation(0.0, X_samples,
                                           np.broadcast_to(c, (1, model.dim)), I_d))
             m_res = float(np.max(np.abs(M)))
         else:
             m_res = 0.0
         out.append(ConditionResiduals(
-            center=centers[k], advection_residual=a_res,
-            growth_residual=g_res, mutation_residual=m_res))
+            advection_residual=a_res, growth_residual=g_res,
+            mutation_residual=m_res))
     return out
 
 
@@ -333,7 +323,6 @@ def weak_measure_gap(ens: ParticleEnsemble, oracle: ReferenceSolution,
 class SelfConvergenceResult:
     fit: FitResult
     truth_h: float
-    grid: np.ndarray
 
     @property
     def order(self) -> float:
@@ -377,7 +366,7 @@ def particle_self_convergence(model: ModelSpec, v0: InitialDensity,
         err = float(np.trapezoid(np.abs(vals - truth), dx=spacing))
         pairs.append((h, err))
     return SelfConvergenceResult(fit=fit_convergence_order(pairs),
-                                 truth_h=h_truth, grid=grid)
+                                 truth_h=h_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +376,6 @@ def particle_self_convergence(model: ModelSpec, v0: InitialDensity,
 @dataclass(frozen=True)
 class APReport:
     verdict: str              # preserving | non_preserving | inconclusive
-    gaps: tuple               # ((h, gap), ...) sorted by decreasing h
-    floor: float
     detail: str
 
 
@@ -410,12 +397,12 @@ def ap_verdict(gaps: Sequence, floor: float = 1e-2) -> APReport:
     h1, g1 = pairs[-1]
     span_ok = h0 / h1 >= 4.0 * (1.0 - 1e-12)
     if span_ok and g1 <= 0.5 * g0:
-        return APReport("preserving", tuple(pairs), floor,
+        return APReport("preserving",
                         f"gap fell {g0:.3g} -> {g1:.3g} over h {h0:g} -> {h1:g}")
     if min(g for _h, g in pairs) >= floor:
-        return APReport("non_preserving", tuple(pairs), floor,
+        return APReport("non_preserving",
                         f"gap stagnates at >= {min(g for _h, g in pairs):.3g} "
                         f"(floor {floor:g})")
-    return APReport("inconclusive", tuple(pairs), floor,
+    return APReport("inconclusive",
                     "gap neither halved over a 4x refinement nor stayed "
                     "above the floor")

@@ -10,7 +10,8 @@ reproduce  built-in four-scenario long-run suite
 
 Configs are INI files.  Any value can be overridden through environment
 variables named ``PHENOPART_<SECTION>__<KEY>``; a section or key that no
-command reads, from either source, is a config error.  All artifacts (CSV,
+command reads, from either source, is a config error, and so is a bad value
+of a known key, found before the first run.  All artifacts (CSV,
 SVG, report, manifest) are deterministic: rerunning a command with the same
 config produces byte-identical files, independent of ``--workers``.
 
@@ -31,10 +32,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .analysis import (ap_verdict, check_dirac_necessary_conditions,
-                       default_test_functions, detect_limit_clusters,
-                       fit_convergence_order, particle_self_convergence,
-                       predict_limit_mass, weak_measure_gap,
-                       weighted_pointwise_error)
+                       detect_limit_clusters, fit_convergence_order,
+                       particle_self_convergence, predict_limit_mass,
+                       weak_measure_gap, weighted_pointwise_error)
 from .discretize import (PROFILES, ParticleEnsemble, build_profile,
                          partition_support)
 from .dynamics import RunConfig, integrate
@@ -69,10 +69,8 @@ DEFAULTS = {
 
 # keys without a default that some command reads when they are set
 OPTIONAL = {
-    "time": ("dt", "snapshot_every"),
-    "regularize": ("eps",),
+    "time": ("dt",),
     "oracle": ("fixed_point_tol", "min_dt", "max_fixed_point_iter"),
-    "asymptote": ("window", "pos_tol", "mass_tol"),
 }
 
 ENV_PREFIX = "PHENOPART_"
@@ -145,11 +143,46 @@ def _num(text: str) -> float:
         raise UsageError(f"expected a number, got {text!r}") from exc
 
 
-def _num_list(text: str) -> list:
+def _count(text: str) -> int:
+    """Parse a whole number >= 1; 2.5 and 0 are errors, not truncated."""
+    val = _num(text)
+    if not (isinstance(val, int) or val.is_integer()) or val < 1:
+        raise UsageError(f"expected a whole number >= 1, got {text!r}")
+    return int(val)
+
+
+def _positive(text: str) -> float:
+    val = _num(text)
+    if not val > 0:
+        raise UsageError(f"expected a positive number, got {text!r}")
+    return val
+
+
+def _num_list(text: str, parse=_num) -> list:
     items = [p for p in (q.strip() for q in text.split(",")) if p]
     if not items:
         raise UsageError(f"expected a comma-separated list, got {text!r}")
-    return [_num(p) for p in items]
+    return [parse(p) for p in items]
+
+
+def _get(cfg, section: str, option: str, parse=_num):
+    """Parsed value of [section] option, None when it is unset; a value
+    `parse` rejects is a usage error that names the section and the key."""
+    if not cfg.has_option(section, option):
+        return None
+    try:
+        return parse(cfg.get(section, option))
+    except UsageError as exc:
+        raise UsageError(f"[{section}] {option}: {exc}") from exc
+
+
+def _checked(where: str, build, *args, **kwargs):
+    """Call a library constructor; the ValueError it raises on a bad value
+    is a usage error prefixed with `where`, the config section or key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{where} {exc}") from exc
 
 
 def _maybe_num(text: str):
@@ -193,27 +226,25 @@ def build_objects(cfg: configparser.ConfigParser):
     return profile, model, cutoff
 
 
-def _run_config(cfg, t_final: float) -> RunConfig:
-    snap = _opt_num(cfg, "time", "snapshot_every")
-    return RunConfig(
-        t_final=t_final, dt=_opt_num(cfg, "time", "dt"),
-        snapshot_every=None if snap is None else int(snap))
+def _run_config(cfg) -> RunConfig:
+    return _checked("[time]", RunConfig,
+                    t_final=_get(cfg, "time", "t_final"),
+                    dt=_get(cfg, "time", "dt"))
 
 
 def _oracle_config(cfg) -> ReferenceConfig:
-    sec = cfg["oracle"]
-    optional = {"fixed_point_tol": _num, "min_dt": _num,
-                "max_fixed_point_iter": lambda s: int(_num(s))}
-    kwargs = {k: parse(sec[k]) for k, parse in optional.items() if k in sec}
-    return ReferenceConfig(
-        x_lo=_num(sec["x_lo"]), x_hi=_num(sec["x_hi"]),
-        dx=_num(sec["dx"]), dt=_num(sec["dt"]), **kwargs)
+    parsers = {"x_lo": _num, "x_hi": _num, "dx": _num, "dt": _num,
+               "fixed_point_tol": _num, "min_dt": _num,
+               "max_fixed_point_iter": _count}
+    return _checked("[oracle]", ReferenceConfig, **{
+        k: _get(cfg, "oracle", k, parse) for k, parse in parsers.items()
+        if cfg.has_option("oracle", k)})
 
 
 def _epsilon(cfg, h: float) -> float:
-    if cfg.has_option("regularize", "eps"):
-        return _num(cfg.get("regularize", "eps"))
-    return epsilon_rule(h, q=_num(cfg.get("regularize", "eps_q")))
+    """Bandwidth eps = h^eps_q of a run at spacing h."""
+    return _checked("[regularize] eps_q:", epsilon_rule, h,
+                    q=_get(cfg, "regularize", "eps_q"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +296,7 @@ def _state_rows(ens: ParticleEnsemble):
     alpha = ens.alpha()
     rows = []
     for i in range(ens.n):
-        rows.append([int(ens.index_set[i])]
-                    + [ens.positions[i, k] for k in range(dim)]
+        rows.append([i] + [ens.positions[i, k] for k in range(dim)]
                     + [ens.volumes[i], ens.intensities[i], alpha[i]])
     return header, rows
 
@@ -287,12 +317,11 @@ def _monitor_pairs(mon, extremes: bool = True):
 
 def _converge_member(payload):
     """One h of the convergence sweep; errors against the shipped oracle."""
-    cfg, h, sol, t_final = payload
+    cfg, run, h, eps, sol = payload
     profile, model, cutoff = build_objects(cfg)
-    ens0 = partition_support(profile, model, h, t_final)
-    traj = integrate(model, ens0, _run_config(cfg, t_final))
+    ens0 = partition_support(profile, model, h, run.t_final)
+    traj = integrate(model, ens0, run)
     fin = traj.final
-    eps = _epsilon(cfg, h)
     recon = reconstruct(fin, cutoff, eps, sol.x)
     return (h, eps, fin.n,
             l1_distance(sol, recon),
@@ -304,26 +333,21 @@ def _converge_member(payload):
 def _asymptote_member(payload):
     """One N of the long-horizon sweep; clusters found in the worker, the
     gap against the oracle is computed by the parent."""
-    cfg, n, t_final = payload
+    cfg, run, n = payload
     profile, model, cutoff = build_objects(cfg)
     h = 1.0 / float(n)
-    ens0 = partition_support(profile, model, h, t_final)
-    traj = integrate(model, ens0, _run_config(cfg, t_final))
-    rep = detect_limit_clusters(
-        traj,
-        window=_opt_num(cfg, "asymptote", "window"),
-        pos_tol=_opt_num(cfg, "asymptote", "pos_tol"),
-        mass_tol=_num(cfg.get("asymptote", "mass_tol", fallback="1e-3")))
-    return int(n), h, traj.final, rep, traj.monitors
+    ens0 = partition_support(profile, model, h, run.t_final)
+    traj = integrate(model, ens0, run)
+    return n, h, traj.final, detect_limit_clusters(traj), traj.monitors
 
 
 def _reproduce_member(payload):
     """One scenario of the built-in suite."""
-    (name, profile_name, profile_params, model_params), n, t_final = payload
+    (name, profile_name, profile_params, model_params), n, run = payload
     profile = build_profile(profile_name, **profile_params)
     model = build_model("advsel1d", profile.support, **model_params)
-    ens0 = partition_support(profile, model, 1.0 / n, t_final)
-    traj = integrate(model, ens0, RunConfig(t_final=t_final))
+    ens0 = partition_support(profile, model, 1.0 / n, run.t_final)
+    traj = integrate(model, ens0, run)
     rep = detect_limit_clusters(traj)
     _main, predicted, summary = _cluster_summary(model, rep)
     keys, series = _series_rows(traj)
@@ -350,11 +374,6 @@ def _cluster_summary(model, rep):
     return main, predicted, pairs
 
 
-def _opt_num(cfg, section, option):
-    raw = cfg.get(section, option, fallback=None)
-    return None if raw is None else _num(raw)
-
-
 def _pool_map(func, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [func(p) for p in payloads]
@@ -368,10 +387,17 @@ def _pool_map(func, payloads, workers: int):
 
 def cmd_simulate(cfg, out: str, workers: int) -> int:
     profile, model, cutoff = build_objects(cfg)
-    h = _num(cfg.get("discretize", "h"))
-    t_final = _num(cfg.get("time", "t_final"))
+    h = _get(cfg, "discretize", "h", _positive)
+    run = _run_config(cfg)
+    t_final = run.t_final
+    eps = _epsilon(cfg, h)
+    oracle = None
+    if _get_bool(cfg, "oracle", "enabled", False):
+        if model.dim != 1:
+            raise UsageError("the grid reference covers 1D models only")
+        oracle = _oracle_config(cfg)
     ens0 = partition_support(profile, model, h, t_final)
-    traj = integrate(model, ens0, _run_config(cfg, t_final))
+    traj = integrate(model, ens0, run)
     fin = traj.final
 
     os.makedirs(out, exist_ok=True)
@@ -391,12 +417,9 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
               ("initial_mass", ens0.mass()), ("final_mass", fin.mass())]
     report.extend(_monitor_pairs(traj.monitors))
 
-    eps = _epsilon(cfg, h)
     plots = []
-    if _get_bool(cfg, "oracle", "enabled", False):
-        if model.dim != 1:
-            raise UsageError("the grid reference covers 1D models only")
-        sol = solve_reference(model, profile, _oracle_config(cfg), t_final)
+    if oracle is not None:
+        sol = solve_reference(model, profile, oracle, t_final)
         recon = reconstruct(fin, cutoff, eps, sol.x)
         report.extend([
             ("oracle_dx", sol.dx), ("oracle_dt", sol.dt),
@@ -427,17 +450,21 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     profile, model, cutoff = build_objects(cfg)
     if model.dim != 1:
         raise UsageError("converge needs a 1D model")
-    t_final = _num(cfg.get("time", "t_final"))
-    h_list = _num_list(cfg.get("converge", "h_list"))
+    run = _run_config(cfg)
+    t_final = run.t_final
+    h_list = _get(cfg, "converge", "h_list",
+                  lambda text: _num_list(text, _positive))
     if sorted(set(h_list), reverse=True) != h_list:
         raise UsageError("[converge] h_list must be strictly decreasing")
+    # both paths need a valid eps rule at every h; check it before any run
+    eps_list = [_epsilon(cfg, h) for h in h_list]
     if not model.is_local:
-        return _self_converge(cfg, out, profile, model, cutoff, t_final,
-                              h_list)
+        return _self_converge(cfg, out, profile, model, cutoff, run, h_list)
 
     sol = solve_reference(model, profile, _oracle_config(cfg), t_final)
     members = _pool_map(_converge_member,
-                        [(cfg, h, sol, t_final) for h in h_list], workers)
+                        [(cfg, run, h, eps, sol)
+                         for h, eps in zip(h_list, eps_list)], workers)
 
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "errors.csv"),
@@ -475,16 +502,13 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     return 0
 
 
-def _self_converge(cfg, out, profile, model, cutoff, t_final, h_list) -> int:
+def _self_converge(cfg, out, profile, model, cutoff, run, h_list) -> int:
     """No grid reference covers non-local advection: every h is measured
     against one particle run at half the finest h."""
-    if cfg.has_option("regularize", "eps"):
-        raise UsageError("[regularize] eps must follow h for "
-                         "self-convergence; set eps_q instead")
+    t_final = run.t_final
     res = particle_self_convergence(
         model, profile, h_list, t_final, cutoff,
-        eps_q=_num(cfg.get("regularize", "eps_q")),
-        dt=_opt_num(cfg, "time", "dt"))
+        eps_q=_get(cfg, "regularize", "eps_q"), dt=run.dt)
     fit = res.fit
     hs = [h for h, _e in fit.pairs]
     errors = [e for _h, e in fit.pairs]
@@ -515,23 +539,24 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
     profile, model, cutoff = build_objects(cfg)
     if model.dim != 1:
         raise UsageError("asymptote needs a 1D model (grid reference)")
-    t_final = _num(cfg.get("time", "t_final"))
-    n_list = [int(v) for v in _num_list(cfg.get("asymptote", "n_list"))]
-    floor = _num(cfg.get("asymptote", "floor"))
+    run = _run_config(cfg)
+    t_final = run.t_final
+    n_list = _get(cfg, "asymptote", "n_list",
+                  lambda text: _num_list(text, _count))
+    floor = _get(cfg, "asymptote", "floor")
 
     sol, history = refine_until_stable(
         model, profile, _oracle_config(cfg), t_final,
-        target=_num(cfg.get("asymptote", "target")),
-        max_levels=int(_num(cfg.get("asymptote", "max_levels"))))
+        target=_get(cfg, "asymptote", "target"),
+        max_levels=_get(cfg, "asymptote", "max_levels", _count))
 
     members = _pool_map(_asymptote_member,
-                        [(cfg, n, t_final) for n in n_list], workers)
+                        [(cfg, run, n) for n in n_list], workers)
 
-    tests = default_test_functions(float(sol.x[0]), float(sol.x[-1]))
     gaps = {}
     gap_rows, cluster_rows = [], []
     for n, h, fin, rep, monitors in members:
-        gap = weak_measure_gap(fin, sol, tests)
+        gap = weak_measure_gap(fin, sol)
         gaps[h] = gap
         gap_rows.append([n, h, gap, len(rep.clusters), rep.total_mass,
                          rep.conclusive, monitors.ok])
@@ -584,11 +609,13 @@ SCENARIOS = [
 
 
 def cmd_reproduce(cfg, out: str, workers: int) -> int:
-    n = int(_num(cfg.get("reproduce", "n", fallback="500")))
-    t_final = _num(cfg.get("reproduce", "t_final", fallback="30.0"))
+    n = _get(cfg, "reproduce", "n", _count)
+    run = _checked("[reproduce]", RunConfig,
+                   t_final=_get(cfg, "reproduce", "t_final"))
+    t_final = run.t_final
 
     members = _pool_map(_reproduce_member,
-                        [(sc, n, t_final) for sc in SCENARIOS], workers)
+                        [(sc, n, run) for sc in SCENARIOS], workers)
 
     os.makedirs(out, exist_ok=True)
     summary_rows = []

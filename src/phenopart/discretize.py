@@ -67,11 +67,12 @@ class InitialDensity:
         vals = np.asarray(self.evaluator(pts), dtype=float)
         return np.where(self.support.contains(pts), vals, 0.0)
 
-    def total_mass(self, n_grid: int = 20001) -> float:
-        """Trapezoid mass of the profile over its support (1D only)."""
+    def total_mass(self) -> float:
+        """Trapezoid mass of the profile over 20001 nodes of its support
+        (1D only)."""
         if self.support.dim != 1:
             raise NotImplementedError("total_mass is a 1D convenience")
-        x = np.linspace(self.support.lo[0], self.support.hi[0], n_grid)
+        x = np.linspace(self.support.lo[0], self.support.hi[0], 20001)
         return float(np.trapezoid(self(x[:, None]), x))
 
 
@@ -79,8 +80,9 @@ class InitialDensity:
 class ParticleEnsemble:
     """Weighted particle state (x_i, w_i, nu_i) at one time.
 
-    The represented measure is sum_i nu_i w_i delta_{x_i}; `index_set` keeps
-    contiguous integer labels so diagnostics can refer to particles stably.
+    The represented measure is sum_i nu_i w_i delta_{x_i}.  A particle's
+    label is its row index: the integrator never reorders or drops rows, so
+    row i of every snapshot is the same particle.
     """
 
     time: float
@@ -88,7 +90,6 @@ class ParticleEnsemble:
     volumes: np.ndarray     # (n,)
     intensities: np.ndarray  # (n,)
     h: float
-    index_set: np.ndarray = None  # (n,) int64
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -97,10 +98,6 @@ class ParticleEnsemble:
         n = self.positions.shape[0]
         if self.volumes.shape != (n,) or self.intensities.shape != (n,):
             raise ValueError("ensemble arrays have inconsistent lengths")
-        if self.index_set is None:
-            self.index_set = np.arange(n, dtype=np.int64)
-        else:
-            self.index_set = np.asarray(self.index_set, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -124,7 +121,6 @@ class ParticleEnsemble:
             volumes=self.volumes.copy(),
             intensities=self.intensities.copy(),
             h=self.h,
-            index_set=self.index_set.copy(),
         )
 
 
@@ -184,13 +180,10 @@ def partition_support(v0: InitialDensity, model: ModelSpec, h: float, T: float,
 
     positions = centers[keep]
     intensities = nu[keep]
-    n = positions.shape[0]
-    volumes = np.full(n, float(h) ** model.dim)
+    volumes = np.full(positions.shape[0], float(h) ** model.dim)
     return ParticleEnsemble(
         time=0.0, positions=positions, volumes=volumes,
-        intensities=intensities, h=float(h),
-        index_set=np.arange(n, dtype=np.int64),
-    )
+        intensities=intensities, h=float(h))
 
 
 class SpacingReport(NamedTuple):

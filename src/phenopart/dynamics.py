@@ -197,13 +197,11 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
 
     mass = ens0.mass()
     bound = max(mass, model.mass_bound_factor)
-    # maxima clipped at 0; the support excess is exactly 0 at t0
-    mass_excess = 0.0
+    # the displacement has no series column, so its maximum is kept while
+    # stepping; it starts at 0, its exact value at t0
     support_excess = 0.0
-    w_min_seen = float(np.min(S[d]))
-    nu_min_seen = float(np.min(S[d + 1]))
 
-    rows = [(t0, mass, nu_min_seen, np.max(S[d + 1]), w_min_seen,
+    rows = [(t0, mass, np.min(S[d + 1]), np.max(S[d + 1]), np.min(S[d]),
              np.max(S[d]), 0.0)]
     snapshots = [ens0.copy()]
 
@@ -242,30 +240,28 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
                 f"non-positive volume w[{i}]={wm:.3e} at t={t_next:.6g}")
 
         mass = float(pair_sum(nu * w))
-        mass_excess = max(mass_excess, mass - bound)
         disp = np.sqrt(pair_sum((x - x0) ** 2, axis=-1))
         support_excess = max(support_excess,
                              float(np.max(disp)) - model.a_sup * (t_next - t0))
-        w_min_seen = min(w_min_seen, wm)
-        nu_min_seen = min(nu_min_seen, nu_min)
 
         rows.append((t_next, mass, nu_min, nu_max, wm, np.max(w), speed_max))
         if (step + 1) % snap_every == 0 or step + 1 == n_steps:
             snapshots.append(ParticleEnsemble(
                 time=t_next, positions=x.copy(), volumes=w.copy(),
-                intensities=nu.copy(), h=ens0.h,
-                index_set=ens0.index_set.copy()))
+                intensities=nu.copy(), h=ens0.h))
 
     keys = ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")
     series = {k: np.array(col, dtype=float) for k, col in zip(keys, zip(*rows))}
+    mass_excess = max(0.0, float(np.max(series["mass"] - bound)))
+    w_min = float(np.min(series["w_min"]))
     monitors = MonitorReport(
         mass_bound=bound,
         mass_excess_max=mass_excess,
         support_excess_max=support_excess,
-        w_min=w_min_seen,
-        nu_min=nu_min_seen,
+        w_min=w_min,
+        nu_min=float(np.min(series["nu_min"])),
         ok=(mass_excess <= 1e-6 * (1.0 + T) and support_excess <= 1e-9
-            and w_min_seen > 0.0),
+            and w_min > 0.0),
     )
     return Trajectory(model=model, dt=dt, n_steps=n_steps,
                       snapshots=snapshots, series=series, monitors=monitors)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.stats import qmc
@@ -459,19 +459,21 @@ class ValidationReport:
         return out
 
 
-def validate_model(model: ModelSpec, box: Box, samples: int = 256,
-                   t_samples: Sequence[float] = (0.0, 0.5, 1.0),
-                   seed: int = 0) -> ValidationReport:
+def validate_model(model: ModelSpec, box: Box) -> ValidationReport:
     """Sample the declared structural hypotheses on a box.
 
-    Checks, each reported with the measured extremum and a witness:
+    The samples are 256 points of the box (seeds 0 and 1 for the two point
+    sets) at the times 0, 0.5 and 1.  Checks, each reported with the
+    measured extremum and a witness:
     speed bound a_sup; psi_g positivity and lower bound; growth saturation
     beyond I_star; mutation uniform bound and declared-support vanishing;
     finiteness of finite-difference Lipschitz estimates.  Declared constants
     are trusted inputs; this cross-checks them, it does not infer them.
     """
-    X = box.sample(samples, seed=seed)
-    Y = box.sample(samples, seed=seed + 1)
+    samples = 256
+    t_samples = (0.0, 0.5, 1.0)
+    X = box.sample(samples, seed=0)
+    Y = box.sample(samples, seed=1)
     entries = []
 
     if math.isfinite(model.I_star):

@@ -27,7 +27,7 @@ vs. interacting particles), which is what makes it usable as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +68,12 @@ class ReferenceConfig:
             raise ValueError("x_hi must exceed x_lo")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
+        # a negative tolerance never converges, and without a positive
+        # floor the halving of a non-contracting step never stops
+        if self.fixed_point_tol is not None and self.fixed_point_tol < 0:
+            raise ValueError("fixed_point_tol must be >= 0")
+        if self.min_dt <= 0:
+            raise ValueError("min_dt must be positive")
         n = (self.x_hi - self.x_lo) / self.dx
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError("dx must divide the grid extent")
@@ -79,7 +85,6 @@ class ReferenceSolution:
 
     x: np.ndarray
     v: np.ndarray
-    t_final: float
     dx: float
     dt: float
     rho_times: np.ndarray
@@ -129,13 +134,12 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
     return x
 
 
-def characteristics(model: ModelSpec, y, t0: float, t1: float,
-                    dt: float = 1e-3):
+def characteristics(model: ModelSpec, y, t0: float, t1: float):
     """Flow map X(t1; t0, y) of the local advection field.
 
-    Fixed-step RK4 with the dynamics step policy; horizons longer than 10
-    reduce the step tenfold (long runs sit near equilibria where the
-    accumulated phase matters).
+    Fixed-step RK4 with step min(1e-3, |t1 - t0|), the dynamics default;
+    horizons longer than 10 reduce the step tenfold (long runs sit near
+    equilibria where the accumulated phase matters).
     """
     if model.dim != 1:
         raise OracleError("characteristics: 1D models only")
@@ -146,7 +150,7 @@ def characteristics(model: ModelSpec, y, t0: float, t1: float,
     if span == 0.0:
         out = y_arr.copy()
         return float(out[0]) if np.isscalar(y) or y_arr.shape == (1,) else out
-    step = min(dt, span)
+    step = min(1e-3, span)
     if span > 10.0:
         step = step / 10.0
     n_sub = max(1, int(math.ceil(span / step - 1e-12)))
@@ -230,7 +234,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
             t, pts[:, None], np.zeros((pts.shape[0], model.n_a))))
         return R - div
 
-    def advance(vn, t, Dt, edges, depth=0):
+    def advance(vn, t, Dt, edges):
         nonlocal min_seen
         if Dt < cfg.min_dt:
             raise OracleError(
@@ -286,8 +290,8 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
                 return u, edges_out
         # no contraction: halve the sub-interval
         state["subdiv"] += 1
-        half, mid_edges = advance(vn, t, 0.5 * Dt, edges, depth + 1)
-        return advance(half, t + 0.5 * Dt, 0.5 * Dt, mid_edges, depth + 1)
+        half, mid_edges = advance(vn, t, 0.5 * Dt, edges)
+        return advance(half, t + 0.5 * Dt, 0.5 * Dt, mid_edges)
 
     edges = None
     if not has_mut:
@@ -304,7 +308,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
         rho_v[n + 1] = float(pair_sum(_support_weights(v, cfg.dx) * v))
 
     return ReferenceSolution(
-        x=x, v=v, t_final=T, dx=cfg.dx, dt=dt,
+        x=x, v=v, dx=cfg.dx, dt=dt,
         rho_times=rho_t, rho_values=rho_v,
         min_value=min_seen,
         fixed_point_iters_max=state["iters_max"],
@@ -323,10 +327,7 @@ def refine_until_stable(model: ModelSpec, v0: InitialDensity,
     sol = solve_reference(model, v0, cfg, T)
     history = [(cfg.dx, sol.mass())]
     for _ in range(max_levels):
-        cfg = ReferenceConfig(
-            x_lo=cfg.x_lo, x_hi=cfg.x_hi, dx=cfg.dx / 2.0, dt=cfg.dt / 2.0,
-            fixed_point_tol=cfg.fixed_point_tol,
-            max_fixed_point_iter=cfg.max_fixed_point_iter, min_dt=cfg.min_dt)
+        cfg = replace(cfg, dx=cfg.dx / 2.0, dt=cfg.dt / 2.0)
         nxt = solve_reference(model, v0, cfg, T)
         history.append((cfg.dx, nxt.mass()))
         if abs(history[-1][1] - history[-2][1]) <= target:

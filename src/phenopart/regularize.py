@@ -61,7 +61,6 @@ class CutoffSpec:
     r_order: int
     radius: float
     breakpoints: tuple = ()
-    notes: str = ""
 
 
 def _gaussian_profile(u: np.ndarray) -> np.ndarray:
@@ -102,19 +101,15 @@ def _gaussian4_profile(u: np.ndarray) -> np.ndarray:
 
 CUTOFFS = {
     "gaussian": CutoffSpec(
-        name="gaussian", profile=_gaussian_profile, r_order=2, radius=9.0,
-        notes="analytic Gaussian, hard zero beyond |u|=9 (tail < 1e-17)"),
+        name="gaussian", profile=_gaussian_profile, r_order=2, radius=9.0),
     "gaussian-trunc": CutoffSpec(
         name="gaussian-trunc", profile=_gaussian_trunc_profile, r_order=2,
-        radius=5.0, breakpoints=(-5.0, 5.0),
-        notes="Gaussian truncated at |u|=5, renormalized to unit mass"),
+        radius=5.0, breakpoints=(-5.0, 5.0)),
     "bspline3": CutoffSpec(
         name="bspline3", profile=_bspline3_profile, r_order=2, radius=2.0,
-        breakpoints=(-1.0, 0.0, 1.0),
-        notes="cubic B-spline, C^2, support [-2, 2]"),
+        breakpoints=(-1.0, 0.0, 1.0)),
     "gaussian4": CutoffSpec(
-        name="gaussian4", profile=_gaussian4_profile, r_order=4, radius=9.0,
-        notes="fourth-order Gaussian kernel (3/2 - u^2/2) G(u); changes sign"),
+        name="gaussian4", profile=_gaussian4_profile, r_order=4, radius=9.0),
 }
 
 
@@ -131,9 +126,7 @@ class MomentReport:
     name: str
     r_order: int
     moments: tuple          # (m_0, ..., m_{r-1})
-    mass_error: float       # |m_0 - 1|
-    max_higher: float       # max |m_alpha|, 1 <= alpha <= r-1
-    passes: bool            # mass to 1e-10, higher moments to 1e-8
+    passes: bool            # |m_0 - 1| <= 1e-10, higher |m_alpha| <= 1e-8
 
 
 def verify_moments(phi: CutoffSpec, r: int | None = None) -> MomentReport:
@@ -157,7 +150,6 @@ def verify_moments(phi: CutoffSpec, r: int | None = None) -> MomentReport:
     max_higher = max((abs(m) for m in moments[1:]), default=0.0)
     return MomentReport(
         name=phi.name, r_order=r, moments=tuple(moments),
-        mass_error=mass_error, max_higher=max_higher,
         passes=(mass_error <= 1e-10 and max_higher <= 1e-8))
 
 

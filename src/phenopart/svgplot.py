@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class PlotSeries:
     label: str
     x: Sequence[float]
     y: Sequence[float]
-    color: Optional[str] = None
 
 
 def _fmt(v: float) -> str:
@@ -59,9 +58,9 @@ def _widen(lo: float, hi: float, log: bool):
 
 def line_plot(path, series: Sequence[PlotSeries], title: str,
               xlabel: str, ylabel: str, logx: bool = False, logy: bool = False,
-              width: int = 720, height: int = 480,
               annotations: Sequence[str] = ()) -> None:
-    """Write a standalone SVG with the given line series."""
+    """Write a standalone 720 x 480 SVG with the given line series, colored
+    in palette order."""
     series = list(series)
     if not series:
         raise ValueError("nothing to plot")
@@ -87,6 +86,7 @@ def line_plot(path, series: Sequence[PlotSeries], title: str,
     X0, X1 = X0 - padx, X1 + padx
     Y0, Y1 = Y0 - pady, Y1 + pady
 
+    width, height = 720, 480
     ml, mr, mt, mb = 64, 16, 34, 46
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -131,7 +131,7 @@ def line_plot(path, series: Sequence[PlotSeries], title: str,
                f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>')
 
     for i, s in enumerate(series):
-        color = s.color or _PALETTE[i % len(_PALETTE)]
+        color = _PALETTE[i % len(_PALETTE)]
         sx = np.asarray(s.x, dtype=float)
         sy = np.asarray(s.y, dtype=float)
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(sx, sy))

@@ -32,8 +32,7 @@ def make_ensemble(n, seed=0, dim=1, h=None):
     intensities = rng.uniform(0.1, 3.0, size=n)
     return pp.ParticleEnsemble(
         time=0.0, positions=positions, volumes=volumes,
-        intensities=intensities, h=h if h is not None else 1.0 / n,
-        index_set=np.arange(n))
+        intensities=intensities, h=h if h is not None else 1.0 / n)
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from phenopart.cli import main
+from phenopart.cli import load_config, main
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 SIM_CFG = """\
 [model]
@@ -254,13 +256,69 @@ class TestExitCodes:
         ("[tyme]\nt_final = 0.01\n", "tyme"),
         ("[model]\nname = advsel1d\nr2 = 1.0\n", "r2"),
         ("[initial]\nprofile = bump\nwidht = 0.2\n", "widht"),
-    ], ids=["key", "section", "model-param", "profile-param"])
+        ("[asymptote]\nwindow = 1.0\n", "window"),
+        ("[asymptote]\npos_tol = 0.1\n", "pos_tol"),
+        ("[asymptote]\nmass_tol = 1e-3\n", "mass_tol"),
+        ("[regularize]\neps = 0.02\n", "eps"),
+        ("[time]\nsnapshot_every = 5\n", "snapshot_every"),
+    ], ids=["key", "section", "model-param", "profile-param",
+            "asymptote-window", "asymptote-pos_tol", "asymptote-mass_tol",
+            "regularize-eps", "time-snapshot_every"])
     def test_unknown_config_input(self, tmp_path, capsys, text, word):
         cfg = _write(tmp_path, text)
         code = main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert word in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("command, text, env, word", [
+        ("reproduce", "", {"REPRODUCE__N": "0"}, "[reproduce] n"),
+        ("reproduce", "[reproduce]\nt_final = 0.1\n",
+         {"REPRODUCE__N": "2.5"}, "[reproduce] n"),
+        ("reproduce", "[reproduce]\nn = 10\nt_final = -1\n", {},
+         "[reproduce] t_final"),
+        ("simulate", SIM_CFG.replace("h = 1/40", "h = -1"), {},
+         "[discretize] h"),
+        ("simulate", SIM_CFG.replace("t_final = 0.5", "t_final = -1"), {},
+         "[time] t_final"),
+        ("simulate", SIM_CFG.replace("dt = 2e-3", "dt = 0"), {}, "[time] dt"),
+        ("simulate", SIM_CFG + "\n[regularize]\neps_q = 2\n", {},
+         "[regularize] eps_q"),
+        ("simulate", SIM_CFG + "\n[oracle]\nenabled = true\nx_lo = 1\n"
+         "x_hi = 0\n", {}, "[oracle] x_hi"),
+        ("simulate", CONVERGE_CFG.replace(
+            "enabled = true", "enabled = true\nmax_fixed_point_iter = 50.5"),
+         {}, "[oracle] max_fixed_point_iter"),
+        ("simulate", CONVERGE_CFG.replace(
+            "enabled = true", "enabled = true\nfixed_point_tol = -1"),
+         {}, "[oracle] fixed_point_tol"),
+        ("simulate", CONVERGE_CFG.replace(
+            "enabled = true", "enabled = true\nmin_dt = 0"),
+         {}, "[oracle] min_dt"),
+        ("asymptote", ASYMPTOTE_CFG.replace("50, 100, 200", "50, 100.5, 200"),
+         {}, "[asymptote] n_list"),
+        ("asymptote", ASYMPTOTE_CFG.replace("levels = 1", "levels = 1.5"), {},
+         "[asymptote] max_levels"),
+        ("converge", CONVERGE_CFG.replace("1/40, 1/80", "1/40, -1/80"), {},
+         "[converge] h_list"),
+    ], ids=["reproduce-n-zero", "reproduce-n-fraction",
+            "reproduce-t_final-negative", "h-negative", "t_final-negative",
+            "dt-zero", "eps_q-above-one", "oracle-empty-box",
+            "max_fixed_point_iter-fraction", "fixed_point_tol-negative",
+            "min_dt-zero", "n_list-fraction",
+            "max_levels-fraction", "h_list-negative"])
+    def test_bad_value(self, tmp_path, capsys, monkeypatch, command, text,
+                       env, word):
+        """A bad value of a known key exits 2 before anything runs."""
+        for key, value in env.items():
+            monkeypatch.setenv(f"PHENOPART_{key}", value)
+        cfg = _write(tmp_path, text)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert word in err
         assert not os.path.exists(tmp_path / "x")
 
     @pytest.mark.parametrize("var, word", [
@@ -274,3 +332,10 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")))
+def test_shipped_configs_load(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    assert cfg.get("model", "name")

@@ -121,8 +121,7 @@ class TestSpacing:
     def test_duplicate_positions_rejected(self):
         pos = np.array([[0.25], [0.25], [0.75]])
         ens = pp.ParticleEnsemble(0.0, pos, np.full(3, 0.25),
-                                  np.ones(3), h=0.5,
-                                  index_set=np.arange(3))
+                                  np.ones(3), h=0.5)
         with pytest.raises(pp.SpacingError):
             pp.check_spacing(ens)
 

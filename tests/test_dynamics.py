@@ -52,8 +52,7 @@ def test_rk4_matches_scipy_reference(advsel_profile, advsel_model):
         w = y[n * d:n * d + n]
         nu = y[n * d + n:]
         state = pp.ParticleEnsemble(time=t, positions=x, volumes=w,
-                                    intensities=nu, h=ens.h,
-                                    index_set=ens.index_set)
+                                    intensities=nu, h=ens.h)
         dx, dw, dnu = pp.rhs(advsel_model, state)
         return np.concatenate([dx.ravel(), dw, dnu])
 
