@@ -25,6 +25,7 @@ import ast
 import configparser
 import csv
 import inspect
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -128,19 +129,22 @@ def _check_keys(cfg: configparser.ConfigParser) -> None:
 
 
 def _num(text: str) -> float:
-    """Parse a number; plain fractions like 1/800 are allowed."""
+    """Parse a finite number; plain fractions like 1/800 are allowed."""
     s = text.strip()
     try:
         if "/" in s:
             a, b = s.split("/")
-            return float(ast.literal_eval(a.strip())) / \
+            val = float(ast.literal_eval(a.strip())) / \
                 float(ast.literal_eval(b.strip()))
-        val = ast.literal_eval(s)
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
+        else:
+            val = ast.literal_eval(s)
+        # 1e999 parses as inf and 1e999/1e999 as nan
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not math.isfinite(val)):
             raise ValueError(s)
-        return val
-    except (ValueError, SyntaxError, ZeroDivisionError) as exc:
-        raise UsageError(f"expected a number, got {text!r}") from exc
+    except (ValueError, SyntaxError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"expected a finite number, got {text!r}") from exc
+    return val
 
 
 def _count(text: str) -> int:

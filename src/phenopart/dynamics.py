@@ -133,9 +133,16 @@ def _pack(ens: ParticleEnsemble) -> np.ndarray:
 
 
 def _points(S: np.ndarray) -> np.ndarray:
-    """Position rows of a packed array as (n, d) points."""
-    # C-contiguous: free in 1D; in 2D a strided view slows every model copy
-    return np.ascontiguousarray(S[:S.shape[0] - 2].T)
+    """Position rows of a packed array as (n, d) C-contiguous points."""
+    d = S.shape[0] - 2
+    if d == 1:
+        return S[:1].T  # (n, 1) view, already C-contiguous
+    # a strided view would slow every model copy, and filling the columns
+    # from the rows is faster than a transposing copy
+    x = np.empty((S.shape[1], d))
+    for k in range(d):
+        x[:, k] = S[k]
+    return x
 
 
 def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray,

@@ -282,6 +282,10 @@ class TestExitCodes:
          "[discretize] h"),
         ("simulate", SIM_CFG.replace("t_final = 0.5", "t_final = -1"), {},
          "[time] t_final"),
+        ("simulate", SIM_CFG.replace("t_final = 0.5", "t_final = 1e999")
+         .replace("h = 1/40", "h = 1/20"), {}, "[time] t_final"),
+        ("simulate", SIM_CFG.replace("t_final = 0.5", "t_final = 1e999/1e999")
+         .replace("h = 1/40", "h = 1/20"), {}, "[time] t_final"),
         ("simulate", SIM_CFG.replace("dt = 2e-3", "dt = 0"), {}, "[time] dt"),
         ("simulate", SIM_CFG + "\n[regularize]\neps_q = 2\n", {},
          "[regularize] eps_q"),
@@ -304,7 +308,7 @@ class TestExitCodes:
          "[converge] h_list"),
     ], ids=["reproduce-n-zero", "reproduce-n-fraction",
             "reproduce-t_final-negative", "h-negative", "t_final-negative",
-            "dt-zero", "eps_q-above-one", "oracle-empty-box",
+            "t_final-inf", "t_final-nan", "dt-zero", "eps_q-above-one", "oracle-empty-box",
             "max_fixed_point_iter-fraction", "fixed_point_tol-negative",
             "min_dt-zero", "n_list-fraction",
             "max_levels-fraction", "h_list-negative"])

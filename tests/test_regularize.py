@@ -1,5 +1,6 @@
 """Cutoff profiles, moment checks, mollified reconstruction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import phenopart as pp
 from conftest import make_ensemble
+from phenopart.regularize import CUTOFFS, _kernel_sum
 
 ALL_CUTOFFS = ("gaussian", "gaussian-trunc", "bspline3", "gaussian4")
 
@@ -143,3 +145,119 @@ def test_mollified_mass_invariance(eps, seed):
     vals = pp.reconstruct(ens, phi, eps, grid[:, None])
     mass = float(np.sum(vals) * dx)
     assert mass == pytest.approx(ens.mass(), rel=1e-9)
+
+
+def _dense_kernel_sum(grid, positions, coef, phi, eps):
+    """Every (grid row, particle) pair in 2048-row tiles and 512-particle
+    blocks: the reference `_kernel_sum` must match bit for bit."""
+    G, d = grid.shape
+    out = np.zeros(G)
+    scale = eps ** (-d)
+    for gs in range(0, G, 2048):
+        gb = grid[gs:gs + 2048]
+        acc = np.zeros(gb.shape[0])
+        for ps in range(0, positions.shape[0], 512):
+            pb = positions[ps:ps + 512]
+            cb = coef[ps:ps + 512]
+            U = (gb[:, None, :] - pb[None, :, :]) / eps
+            W = phi.profile(U[..., 0])
+            for k in range(1, d):
+                W = W * phi.profile(U[..., k])
+            acc += np.add.reduce(W * cb[None, :], axis=-1)
+        out[gs:gs + 2048] = acc * scale
+    return out
+
+
+def _counting(phi):
+    """`phi` with a profile that tallies the values it is asked for."""
+    calls = []
+
+    def profile(u):
+        calls.append(np.size(u))
+        return phi.profile(u)
+
+    return dataclasses.replace(phi, profile=profile), calls
+
+
+@settings(max_examples=60)
+@given(d=st.sampled_from([1, 2]), name=st.sampled_from(ALL_CUTOFFS),
+       n=st.integers(1, 1300), rows=st.integers(1, 1000),
+       log_eps=st.floats(-3.0, 0.0), shuffle=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_kernel_sum_matches_dense_bit_for_bit(d, name, n, rows, log_eps,
+                                              shuffle, seed):
+    """Skipping far particle blocks and tiling the grid change no bit."""
+    rng = np.random.default_rng(seed)
+    positions = np.sort(rng.uniform(0.0, 1.0, size=(n, d)), axis=0)
+    if shuffle:
+        positions = positions[rng.permutation(n)]
+    coef = rng.normal(size=n)
+    grid = np.sort(rng.uniform(-1.0, 2.0, size=(rows, d)), axis=0)
+    phi, eps = CUTOFFS[name], 10.0 ** log_eps
+    got = _kernel_sum(grid, positions, coef, phi, eps)
+    assert got.tobytes() == _dense_kernel_sum(
+        grid, positions, coef, phi, eps).tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_support_edge_matches_dense(name):
+    """A particle at, just beyond or well inside radius * eps of the grid
+    tile, on either side: the skip rule drops no pair that counts."""
+    phi, eps = CUTOFFS[name], 0.5
+    reach = phi.radius * eps
+    edge = int(phi.profile(np.array([phi.radius]))[0] != 0.0)
+    grid = np.array([[0.0], [0.25]])
+    for x, nonzero in [(0.25 + reach, edge),
+                       (np.nextafter(0.25 + reach, np.inf), 0),
+                       (0.25 + 0.95 * reach, 1),
+                       (-reach, edge),
+                       (np.nextafter(-reach, -np.inf), 0),
+                       (-0.95 * reach, 1)]:
+        pos, coef = np.array([[x]]), np.ones(1)
+        got = _kernel_sum(grid, pos, coef, phi, eps)
+        assert got.tobytes() == _dense_kernel_sum(
+            grid, pos, coef, phi, eps).tobytes()
+        assert np.count_nonzero(got) == nonzero
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_far_grid_is_positive_zero_without_profile_calls(d, name):
+    ens = make_ensemble(700, seed=5, dim=d)
+    grid = np.linspace(5.0, 6.0, 300)[:, None].repeat(d, axis=1)
+    phi, calls = _counting(CUTOFFS[name])
+    out = pp.reconstruct(ens, phi, 0.05, grid)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    assert calls == []
+
+
+def test_kernel_sum_skips_most_far_pairs():
+    """On a 1D lattice at n = 3200 with eps = h^0.5 and the oracle grid of
+    `converge`, fewer than half of the dense pairs reach the profile."""
+    n = 3200
+    h = 1.0 / n
+    positions = ((np.arange(n) + 0.5) * h)[:, None]
+    grid = np.arange(-0.25, 1.25 + 1e-9, 1.0 / 8000)[:, None]
+    phi, calls = _counting(CUTOFFS["gaussian"])
+    _kernel_sum(grid, positions, np.full(n, h), phi, h ** 0.5)
+    assert 0 < sum(calls) < 0.5 * grid.shape[0] * n
+
+
+@pytest.mark.parametrize("where, bad", [
+    ("positions", np.nan), ("positions", -np.inf),
+    ("coef", np.nan), ("coef", np.inf)])
+def test_kernel_sum_rejects_non_finite_particles(where, bad):
+    ens = make_ensemble(30, seed=2)
+    args = {"positions": ens.positions.copy(), "coef": ens.alpha()}
+    args[where][7] = bad
+    grid = np.linspace(0.0, 1.0, 50)[:, None]
+    with pytest.raises(ValueError, match="finite"):
+        _kernel_sum(grid, phi=CUTOFFS["gaussian"], eps=0.1, **args)
+
+
+def test_project_rejects_non_finite_values():
+    ens = make_ensemble(30, seed=2)
+    grid = np.linspace(0.0, 1.0, 50)[:, None]
+    with pytest.raises(ValueError, match="finite"):
+        pp.project(lambda X: np.full(X.shape[0], np.nan), ens,
+                   CUTOFFS["bspline3"], 0.1, grid)
