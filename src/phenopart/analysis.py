@@ -22,8 +22,8 @@ Two regimes are measured:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,8 +31,7 @@ from scipy.spatial import cKDTree
 from .discretize import (InitialDensity, ParticleEnsemble, _bump_1d,
                          active_box, partition_support)
 from .dynamics import RunConfig, Trajectory, integrate
-from .model import (Box, ModelSpec, advection_inputs, nonlocal_field,
-                    pair_sum)
+from .model import ModelSpec, advection_inputs, nonlocal_field, pair_sum
 from .reference import ReferenceSolution
 from .regularize import CutoffSpec, epsilon_rule, reconstruct
 

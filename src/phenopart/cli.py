@@ -71,7 +71,6 @@ DEFAULTS = {
 # keys without a default that some command reads when they are set
 OPTIONAL = {
     "time": ("dt",),
-    "oracle": ("fixed_point_tol", "min_dt", "max_fixed_point_iter"),
 }
 
 ENV_PREFIX = "PHENOPART_"
@@ -236,13 +235,14 @@ def _run_config(cfg) -> RunConfig:
                     dt=_get(cfg, "time", "dt"))
 
 
-def _oracle_config(cfg) -> ReferenceConfig:
-    parsers = {"x_lo": _num, "x_hi": _num, "dx": _num, "dt": _num,
-               "fixed_point_tol": _num, "min_dt": _num,
-               "max_fixed_point_iter": _count}
+def _oracle_config(cfg, model) -> ReferenceConfig:
+    """The grid reference of a 1D model with local advection."""
+    if model.dim != 1:
+        raise UsageError("the grid reference covers 1D models only")
+    if not model.is_local:
+        raise UsageError("the grid reference requires local advection")
     return _checked("[oracle]", ReferenceConfig, **{
-        k: _get(cfg, "oracle", k, parse) for k, parse in parsers.items()
-        if cfg.has_option("oracle", k)})
+        k: _get(cfg, "oracle", k) for k in ("x_lo", "x_hi", "dx", "dt")})
 
 
 def _epsilon(cfg, h: float) -> float:
@@ -397,9 +397,7 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
     eps = _epsilon(cfg, h)
     oracle = None
     if _get_bool(cfg, "oracle", "enabled", False):
-        if model.dim != 1:
-            raise UsageError("the grid reference covers 1D models only")
-        oracle = _oracle_config(cfg)
+        oracle = _oracle_config(cfg, model)
     ens0 = partition_support(profile, model, h, t_final)
     traj = integrate(model, ens0, run)
     fin = traj.final
@@ -460,12 +458,15 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
                   lambda text: _num_list(text, _positive))
     if sorted(set(h_list), reverse=True) != h_list:
         raise UsageError("[converge] h_list must be strictly decreasing")
+    if len(h_list) < 3:
+        raise UsageError("[converge] h_list needs at least 3 entries "
+                         "for an order fit")
     # both paths need a valid eps rule at every h; check it before any run
     eps_list = [_epsilon(cfg, h) for h in h_list]
     if not model.is_local:
         return _self_converge(cfg, out, profile, model, cutoff, run, h_list)
 
-    sol = solve_reference(model, profile, _oracle_config(cfg), t_final)
+    sol = solve_reference(model, profile, _oracle_config(cfg, model), t_final)
     members = _pool_map(_converge_member,
                         [(cfg, run, h, eps, sol)
                          for h, eps in zip(h_list, eps_list)], workers)
@@ -541,17 +542,19 @@ def _decreasing(values) -> bool:
 
 def cmd_asymptote(cfg, out: str, workers: int) -> int:
     profile, model, cutoff = build_objects(cfg)
-    if model.dim != 1:
-        raise UsageError("asymptote needs a 1D model (grid reference)")
+    oracle = _oracle_config(cfg, model)
     run = _run_config(cfg)
     t_final = run.t_final
     n_list = _get(cfg, "asymptote", "n_list",
                   lambda text: _num_list(text, _count))
-    floor = _get(cfg, "asymptote", "floor")
+    if len(set(n_list)) < 2:
+        raise UsageError("[asymptote] n_list needs at least 2 distinct "
+                         "entries for a verdict")
+    floor = _get(cfg, "asymptote", "floor", _positive)
 
     sol, history = refine_until_stable(
-        model, profile, _oracle_config(cfg), t_final,
-        target=_get(cfg, "asymptote", "target"),
+        model, profile, oracle, t_final,
+        target=_get(cfg, "asymptote", "target", _positive),
         max_levels=_get(cfg, "asymptote", "max_levels", _count))
 
     members = _pool_map(_asymptote_member,

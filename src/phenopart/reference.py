@@ -16,9 +16,13 @@ iteration on the new time level:
 - v(t_n, .) evaluated at feet by monotone cubic (PCHIP) interpolation, which
   cannot overshoot local extrema, so non-negative data stays non-negative;
   feet outside the grid read 0
-- iteration stops when the L1 update drops below tol = 1e-10 (1 + mass);
-  no contraction within 50 iterations halves the sub-interval, and
-  sub-intervals below 1e-6 abort
+- iteration stops when the L1 update drops below
+  FIXED_POINT_RTOL (1 + mass); no contraction within MAX_FIXED_POINT_ITER
+  iterations halves the sub-interval, and sub-intervals below MIN_DT abort
+
+Every grid density travels with its support-weighted values
+wv = _support_weights(v, dx) * v, computed once, from which the masses and
+all grid integrals are read.
 
 This solver shares no code path with the particle dynamics (grid transport
 vs. interacting particles), which is what makes it usable as an oracle.
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -46,6 +49,12 @@ __all__ = [
     "l1_distance",
 ]
 
+FIXED_POINT_RTOL = 1e-10     # stop when the L1 update < RTOL * (1 + mass)
+MAX_FIXED_POINT_ITER = 50    # iterations before a step is halved
+MIN_DT = 1e-6                # a halved step below this aborts the solve
+
+_ROW_CHUNK = 2048            # query rows per dense grid-integral block
+
 
 class OracleError(RuntimeError):
     """The reference solver could not reach the requested accuracy."""
@@ -53,27 +62,18 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReferenceConfig:
-    """Grid and stepping knobs for the reference solver."""
+    """Grid and time step of the reference solver."""
 
     x_lo: float
     x_hi: float
     dx: float
     dt: float
-    fixed_point_tol: Optional[float] = None  # None: 1e-10 * (1 + mass)
-    max_fixed_point_iter: int = 50
-    min_dt: float = 1e-6
 
     def __post_init__(self):
         if self.x_hi <= self.x_lo:
             raise ValueError("x_hi must exceed x_lo")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
-        # a negative tolerance never converges, and without a positive
-        # floor the halving of a non-contracting step never stops
-        if self.fixed_point_tol is not None and self.fixed_point_tol < 0:
-            raise ValueError("fixed_point_tol must be >= 0")
-        if self.min_dt <= 0:
-            raise ValueError("min_dt must be positive")
         n = (self.x_hi - self.x_lo) / self.dx
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError("dx must divide the grid extent")
@@ -95,15 +95,13 @@ class ReferenceSolution:
     _interp: object = field(default=None, repr=False)
 
     def mass(self) -> float:
-        return float(pair_sum(_support_weights(self.v, self.dx) * self.v))
+        return float(self.rho_values[-1])
 
-    def value_at(self, points, fill: float = math.nan) -> np.ndarray:
-        """Interpolated final-time values; outside the grid returns `fill`."""
+    def value_at(self, points) -> np.ndarray:
+        """Interpolated final-time values; NaN outside the grid."""
         if self._interp is None:
             self._interp = _monotone_interpolant(self.x, self.v)
-        pts = np.asarray(points, dtype=float).reshape(-1)
-        vals = self._interp(pts)
-        return np.where(np.isnan(vals), fill, vals)
+        return self._interp(np.asarray(points, dtype=float).reshape(-1))
 
 
 def _monotone_interpolant(x: np.ndarray, v: np.ndarray) -> PchipInterpolator:
@@ -117,6 +115,11 @@ def _flow_rhs(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     X = x[:, None]
     I = np.zeros((x.shape[0], model.n_a))
     return np.asarray(model.advection(t, X, I))[:, 0]
+
+
+def _substeps(span: float) -> int:
+    """RK4 substeps of at most 1e-3 over a time span; at least one."""
+    return max(1, int(math.ceil(span / 1e-3 - 1e-12)))
 
 
 def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
@@ -137,24 +140,14 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
 def characteristics(model: ModelSpec, y, t0: float, t1: float):
     """Flow map X(t1; t0, y) of the local advection field.
 
-    Fixed-step RK4 with step min(1e-3, |t1 - t0|), the dynamics default;
-    horizons longer than 10 reduce the step tenfold (long runs sit near
-    equilibria where the accumulated phase matters).
+    Fixed-step RK4 with steps of at most 1e-3, the dynamics default.
     """
     if model.dim != 1:
         raise OracleError("characteristics: 1D models only")
     if not model.is_local:
         raise OracleError("characteristics requires local advection")
-    span = abs(t1 - t0)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if span == 0.0:
-        out = y_arr.copy()
-        return float(out[0]) if np.isscalar(y) or y_arr.shape == (1,) else out
-    step = min(1e-3, span)
-    if span > 10.0:
-        step = step / 10.0
-    n_sub = max(1, int(math.ceil(span / step - 1e-12)))
-    out = _rk4_flow(model, y_arr, t0, t1, n_sub)
+    out = _rk4_flow(model, y_arr, t0, t1, _substeps(abs(t1 - t0)))
     return float(out[0]) if np.isscalar(y) or out.shape == (1,) else out
 
 
@@ -177,21 +170,25 @@ def _support_weights(v: np.ndarray, dx: float) -> np.ndarray:
     return w
 
 
+def _row_sums(rows, n: int, wv: np.ndarray) -> np.ndarray:
+    """sum_j K[i, j] wv[j] for i < n, where rows(s, e) returns K[s:e, :]."""
+    out = np.empty(n)
+    for s in range(0, n, _ROW_CHUNK):
+        block = np.asarray(rows(s, s + _ROW_CHUNK))
+        out[s:s + _ROW_CHUNK] = pair_sum(block * wv[None, :], axis=-1)
+    return out
+
+
 def _grid_nonlocal(kernel: Kernel, t: float, xq: np.ndarray, grid: np.ndarray,
-                   v: np.ndarray, trapw: np.ndarray) -> np.ndarray:
-    """(I_l v)(x_q) by the trapezoid rule on the grid."""
+                   wv: np.ndarray) -> np.ndarray:
+    """(I_l v)(x_q) by the support-weighted trapezoid rule on the grid."""
     if kernel.const is not None:
-        return np.full(xq.shape[0], kernel.const * float(pair_sum(trapw * v)))
+        return np.full(xq.shape[0], kernel.const * float(pair_sum(wv)))
     if kernel.x_free:
         row = np.asarray(kernel.func(t, xq[:1, None], grid[:, None]))[0]
-        return np.full(xq.shape[0], float(pair_sum(row * trapw * v)))
-    out = np.empty(xq.shape[0])
-    chunk = 2048
-    wv = trapw * v
-    for s in range(0, xq.shape[0], chunk):
-        block = np.asarray(kernel.func(t, xq[s:s + chunk, None], grid[:, None]))
-        out[s:s + chunk] = pair_sum(block * wv[None, :], axis=-1)
-    return out
+        return np.full(xq.shape[0], float(pair_sum(row * wv)))
+    return _row_sums(lambda s, e: kernel.func(t, xq[s:e, None], grid[:, None]),
+                     xq.shape[0], wv)
 
 
 def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
@@ -210,43 +207,36 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     min_seen = float(np.min(v))
     state = {"iters_max": 0, "subdiv": 0}
 
-    def I_g_at(t, pts, dens):
-        return _grid_nonlocal(model.kernel_g, t, pts, x, dens,
-                              _support_weights(dens, cfg.dx))
+    def weigh(dens):
+        return _support_weights(dens, cfg.dx) * dens
 
-    def source_at(t, pts, dens):
+    def source_at(t, pts, wv):
         # mutation influx int m(t, x_q, z, I_d(x_q)) v(z) dz
-        wq = _support_weights(dens, cfg.dx)
-        I_d = _grid_nonlocal(model.kernel_d, t, pts, x, dens, wq)
-        out = np.empty(pts.shape[0])
-        chunk = 2048
-        wv = wq * dens
-        for s in range(0, pts.shape[0], chunk):
-            M = np.asarray(model.mutation(t, pts[s:s + chunk, None], x[:, None],
-                                          I_d[s:s + chunk]))
-            out[s:s + chunk] = pair_sum(M * wv[None, :], axis=-1)
-        return out
+        I_d = _grid_nonlocal(model.kernel_d, t, pts, x, wv)
+        return _row_sums(
+            lambda s, e: model.mutation(t, pts[s:e, None], x[:, None], I_d[s:e]),
+            pts.shape[0], wv)
 
-    def G_of(t, pts, dens):
-        I = I_g_at(t, pts, dens)
+    def G_of(t, pts, wv):
+        I = _grid_nonlocal(model.kernel_g, t, pts, x, wv)
         R = np.asarray(model.growth(t, pts[:, None], I))
         div = np.asarray(model.advection_div_x(
             t, pts[:, None], np.zeros((pts.shape[0], model.n_a))))
         return R - div
 
-    def advance(vn, t, Dt, edges):
+    def advance(vn, wvn, t, Dt, edges):
         nonlocal min_seen
-        if Dt < cfg.min_dt:
+        if Dt < MIN_DT:
             raise OracleError(
-                f"fixed point failed to contract above dt={cfg.min_dt:g} "
+                f"fixed point failed to contract above dt={MIN_DT:g} "
                 f"(reached {Dt:g} at t={t:.6g})")
-        n_sub = max(1, int(math.ceil(Dt / 1e-3 - 1e-12)))
+        n_sub = _substeps(Dt)
         feet = _rk4_flow(model, x, t + Dt, t, n_sub)  # backward feet
         interp = _monotone_interpolant(x, vn)
         base = interp(feet)
         base = np.where(np.isnan(base), 0.0, base)
-        G0 = G_of(t, feet, vn)
-        S0 = source_at(t, feet, vn) if has_mut else None
+        G0 = G_of(t, feet, wvn)
+        S0 = source_at(t, feet, wvn) if has_mut else None
 
         # without mutation the support is exactly the flow image of the
         # initial one; clipping outside it stops interpolation bleed
@@ -262,24 +252,20 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
                     f"support [{edges_out[0]:.6g}, {edges_out[1]:.6g}] holds "
                     f"fewer than two grid nodes at t={t + Dt:.6g}; refine dx")
 
-        rho_n = float(pair_sum(_support_weights(vn, cfg.dx) * vn))
-        tol = cfg.fixed_point_tol
-        if tol is None:
-            tol = 1e-10 * (1.0 + rho_n)
-
-        u = vn.copy()
-        for it in range(cfg.max_fixed_point_iter):
-            G1 = G_of(t + Dt, x, u)
+        tol = FIXED_POINT_RTOL * (1.0 + float(pair_sum(wvn)))
+        u, wu = vn, wvn
+        for it in range(MAX_FIXED_POINT_ITER):
+            G1 = G_of(t + Dt, x, wu)
             E = 0.5 * Dt * (G0 + G1)
             wfac = np.exp(E)
             v_new = wfac * base
             if has_mut:
-                S1 = source_at(t + Dt, x, u)
+                S1 = source_at(t + Dt, x, wu)
                 v_new = v_new + 0.5 * Dt * (wfac * S0 + S1)
             if edges_out is not None:
                 v_new = np.where(keep, v_new, 0.0)
             delta = float(pair_sum(np.abs(v_new - u))) * cfg.dx
-            u = v_new
+            u, wu = v_new, weigh(v_new)
             if delta < tol:
                 state["iters_max"] = max(state["iters_max"], it + 1)
                 mn = float(np.min(u))
@@ -287,11 +273,11 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
                 if mn < -1e-10 * max(float(np.max(u)), 1e-300):
                     raise OracleError(
                         f"negative density {mn:.3e} at t={t + Dt:.6g}")
-                return u, edges_out
+                return u, wu, edges_out
         # no contraction: halve the sub-interval
         state["subdiv"] += 1
-        half, mid_edges = advance(vn, t, 0.5 * Dt, edges)
-        return advance(half, t + 0.5 * Dt, 0.5 * Dt, mid_edges)
+        half, whalf, mid_edges = advance(vn, wvn, t, 0.5 * Dt, edges)
+        return advance(half, whalf, t + 0.5 * Dt, 0.5 * Dt, mid_edges)
 
     edges = None
     if not has_mut:
@@ -299,17 +285,16 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
 
     n_steps = 0 if T == 0.0 else max(1, int(round(T / cfg.dt)))
     dt = T / n_steps if n_steps else cfg.dt
-    rho_t = np.zeros(n_steps + 1)
+    wv = weigh(v)
     rho_v = np.zeros(n_steps + 1)
-    rho_v[0] = float(pair_sum(_support_weights(v, cfg.dx) * v))
+    rho_v[0] = float(pair_sum(wv))
     for n in range(n_steps):
-        v, edges = advance(v, n * dt, dt, edges)
-        rho_t[n + 1] = (n + 1) * dt
-        rho_v[n + 1] = float(pair_sum(_support_weights(v, cfg.dx) * v))
+        v, wv, edges = advance(v, wv, n * dt, dt, edges)
+        rho_v[n + 1] = float(pair_sum(wv))
 
     return ReferenceSolution(
         x=x, v=v, dx=cfg.dx, dt=dt,
-        rho_times=rho_t, rho_values=rho_v,
+        rho_times=dt * np.arange(n_steps + 1), rho_values=rho_v,
         min_value=min_seen,
         fixed_point_iters_max=state["iters_max"],
         subdivisions=state["subdiv"])

@@ -9,7 +9,7 @@ element; wide data should be plotted, not embedded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

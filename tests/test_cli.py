@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from phenopart import reference
 from phenopart.cli import load_config, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -240,11 +241,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
-    def test_numerical_failure(self, tmp_path, capsys):
+    def test_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # a zero tolerance never contracts, and the first halving of the
+        # step falls below the floor
+        monkeypatch.setattr(reference, "FIXED_POINT_RTOL", 0.0)
+        monkeypatch.setattr(reference, "MAX_FIXED_POINT_ITER", 2)
+        monkeypatch.setattr(reference, "MIN_DT", 1e-2)
         text = SIM_CFG + (
             "\n[oracle]\nenabled = true\nx_lo = -0.25\nx_hi = 1.25\n"
-            "dx = 1/100\ndt = 1e-2\nfixed_point_tol = 0.0\n"
-            "max_fixed_point_iter = 2\nmin_dt = 1e-2\n")
+            "dx = 1/100\ndt = 1e-2\n")
         cfg = _write(tmp_path, text)
         code = main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "x")])
@@ -261,9 +266,14 @@ class TestExitCodes:
         ("[asymptote]\nmass_tol = 1e-3\n", "mass_tol"),
         ("[regularize]\neps = 0.02\n", "eps"),
         ("[time]\nsnapshot_every = 5\n", "snapshot_every"),
+        ("[oracle]\nmax_fixed_point_iter = 50.5\n", "max_fixed_point_iter"),
+        ("[oracle]\nfixed_point_tol = -1\n", "fixed_point_tol"),
+        ("[oracle]\nmin_dt = 0\n", "min_dt"),
     ], ids=["key", "section", "model-param", "profile-param",
             "asymptote-window", "asymptote-pos_tol", "asymptote-mass_tol",
-            "regularize-eps", "time-snapshot_every"])
+            "regularize-eps", "time-snapshot_every",
+            "oracle-max_fixed_point_iter", "oracle-fixed_point_tol",
+            "oracle-min_dt"])
     def test_unknown_config_input(self, tmp_path, capsys, text, word):
         cfg = _write(tmp_path, text)
         code = main(["simulate", "--config", cfg,
@@ -291,30 +301,34 @@ class TestExitCodes:
          "[regularize] eps_q"),
         ("simulate", SIM_CFG + "\n[oracle]\nenabled = true\nx_lo = 1\n"
          "x_hi = 0\n", {}, "[oracle] x_hi"),
-        ("simulate", CONVERGE_CFG.replace(
-            "enabled = true", "enabled = true\nmax_fixed_point_iter = 50.5"),
-         {}, "[oracle] max_fixed_point_iter"),
-        ("simulate", CONVERGE_CFG.replace(
-            "enabled = true", "enabled = true\nfixed_point_tol = -1"),
-         {}, "[oracle] fixed_point_tol"),
-        ("simulate", CONVERGE_CFG.replace(
-            "enabled = true", "enabled = true\nmin_dt = 0"),
-         {}, "[oracle] min_dt"),
+        ("simulate", SELF_CFG + "\n[oracle]\nenabled = true\n", {},
+         "local advection"),
+        ("asymptote", SELF_CFG, {}, "local advection"),
         ("asymptote", ASYMPTOTE_CFG.replace("50, 100, 200", "50, 100.5, 200"),
          {}, "[asymptote] n_list"),
+        ("asymptote", ASYMPTOTE_CFG.replace("50, 100, 200", "20, 20"), {},
+         "[asymptote] n_list"),
         ("asymptote", ASYMPTOTE_CFG.replace("levels = 1", "levels = 1.5"), {},
          "[asymptote] max_levels"),
+        ("asymptote", ASYMPTOTE_CFG.replace("target = 1e-2", "target = -1"),
+         {}, "[asymptote] target"),
+        ("asymptote", ASYMPTOTE_CFG + "floor = 0\n", {}, "[asymptote] floor"),
         ("converge", CONVERGE_CFG.replace("1/40, 1/80", "1/40, -1/80"), {},
+         "[converge] h_list"),
+        ("converge", CONVERGE_CFG.replace("1/40, 1/80", "1/40"), {},
+         "[converge] h_list"),
+        ("converge", SELF_CFG.replace("1/50, 1/100", "1/50"), {},
          "[converge] h_list"),
     ], ids=["reproduce-n-zero", "reproduce-n-fraction",
             "reproduce-t_final-negative", "h-negative", "t_final-negative",
             "t_final-inf", "t_final-nan", "dt-zero", "eps_q-above-one", "oracle-empty-box",
-            "max_fixed_point_iter-fraction", "fixed_point_tol-negative",
-            "min_dt-zero", "n_list-fraction",
-            "max_levels-fraction", "h_list-negative"])
+            "oracle-nonlocal", "asymptote-nonlocal", "n_list-fraction",
+            "n_list-one-distinct", "max_levels-fraction", "target-negative",
+            "floor-zero", "h_list-negative", "h_list-two", "self-h_list-two"])
     def test_bad_value(self, tmp_path, capsys, monkeypatch, command, text,
                        env, word):
-        """A bad value of a known key exits 2 before anything runs."""
+        """A bad value of a known key, or a model the grid reference cannot
+        run, exits 2 before anything runs."""
         for key, value in env.items():
             monkeypatch.setenv(f"PHENOPART_{key}", value)
         cfg = _write(tmp_path, text)

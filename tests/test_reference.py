@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import phenopart as pp
+from phenopart import reference
 from phenopart.reference import _support_weights
 
 LOGISTIC_RHO_5 = 0.9933071490757153
@@ -107,15 +108,15 @@ def test_value_at_fill():
     inside = sol.value_at([0.5])
     assert np.isfinite(inside[0]) and inside[0] > 0.5
     assert np.isnan(sol.value_at([2.0])[0])
-    assert sol.value_at([2.0], fill=0.0)[0] == 0.0
 
 
-def test_zero_tolerance_cannot_contract():
+def test_zero_tolerance_cannot_contract(monkeypatch):
+    monkeypatch.setattr(reference, "FIXED_POINT_RTOL", 0.0)
+    monkeypatch.setattr(reference, "MAX_FIXED_POINT_ITER", 4)
+    monkeypatch.setattr(reference, "MIN_DT", 1e-4)
     prof = pp.build_profile("const", value=0.5, lo=0.0, hi=1.0)
     model = pp.build_model("logistic0d", prof.support, r0=1.0)
-    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.1, dt=1e-2,
-                             fixed_point_tol=0.0, max_fixed_point_iter=4,
-                             min_dt=1e-4)
+    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.1, dt=1e-2)
     with pytest.raises(pp.OracleError, match="fixed point"):
         pp.solve_reference(model, prof, cfg, 0.1)
 
