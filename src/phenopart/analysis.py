@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discretize import (InitialDensity, ParticleEnsemble, _bump_1d,
                          active_box, partition_support)
@@ -169,6 +168,8 @@ def detect_limit_clusters(traj: Trajectory) -> ClusterReport:
         breaks = np.flatnonzero(np.diff(sorted_x) > pos_tol)
         groups = np.split(order, breaks + 1)
     else:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(pos)
         parent = np.arange(ens.n)
 

@@ -265,12 +265,35 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header, rows) -> None:
+# rows formatted per pass: a whole 78 000-row table of strings at once costs
+# more peak memory than the run itself
+_CSV_BLOCK = 4096
+
+
+def _column_cells(col) -> list:
+    """`_cell` of every entry; a numpy array is formatted through its
+    Python scalars, one call per column instead of one per cell."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.bool_:
+            return ["true" if v else "false" for v in col.tolist()]
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+        if col.dtype.kind == "f":
+            return list(map(repr, col.tolist()))
+    return [_cell(v) for v in col]
+
+
+def write_csv(path: str, header, columns) -> None:
+    """A CSV table from equal-length columns (numpy arrays or sequences)."""
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        for lo in range(0, n, _CSV_BLOCK):
+            writer.writerows(zip(*(_column_cells(col[lo:lo + _CSV_BLOCK])
+                                   for col in columns)))
 
 
 def write_report(path: str, pairs) -> None:
@@ -288,21 +311,22 @@ def write_manifest(cfg: configparser.ConfigParser, path: str) -> None:
         out.write(fh)
 
 
-def _series_rows(traj):
-    keys = ["t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max"]
-    cols = [np.asarray(traj.series[k]) for k in keys]
-    return keys, list(zip(*cols))
+def _state_columns(ens: ParticleEnsemble):
+    """Header and columns of the state table: label, position, w, nu, alpha."""
+    header = ["i"] + [f"x{k}" for k in range(ens.dim)] + ["w", "nu", "alpha"]
+    columns = ([np.arange(ens.n)] + list(ens.positions.T)
+               + [ens.volumes, ens.intensities, ens.alpha()])
+    return header, columns
 
 
-def _state_rows(ens: ParticleEnsemble):
-    dim = ens.dim
-    header = ["i"] + [f"x{k}" for k in range(dim)] + ["w", "nu", "alpha"]
-    alpha = ens.alpha()
-    rows = []
-    for i in range(ens.n):
-        rows.append([i] + [ens.positions[i, k] for k in range(dim)]
-                    + [ens.volumes[i], ens.intensities[i], alpha[i]])
-    return header, rows
+def _write_snapshots(path: str, snapshots) -> None:
+    """Every snapshot's state table, stacked, behind a time column."""
+    header, _cols = _state_columns(snapshots[0])
+    times = np.repeat([snap.time for snap in snapshots],
+                      [snap.n for snap in snapshots])
+    stacked = zip(*(_state_columns(snap)[1] for snap in snapshots))
+    write_csv(path, ["t"] + header,
+              [times] + [np.concatenate(col) for col in stacked])
 
 
 def _monitor_pairs(mon, extremes: bool = True):
@@ -354,10 +378,8 @@ def _reproduce_member(payload):
     traj = integrate(model, ens0, run)
     rep = detect_limit_clusters(traj)
     _main, predicted, summary = _cluster_summary(model, rep)
-    keys, series = _series_rows(traj)
-    header, state = _state_rows(traj.final)
     return (name, traj.final.mass(), rep, summary, predicted,
-            keys, series, header, state, traj.monitors)
+            traj.series, _state_columns(traj.final), traj.monitors)
 
 
 def _cluster_summary(model, rep):
@@ -403,16 +425,10 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
     fin = traj.final
 
     os.makedirs(out, exist_ok=True)
-    keys, rows = _series_rows(traj)
-    write_csv(os.path.join(out, "series.csv"), keys, rows)
-    header, rows = _state_rows(fin)
-    write_csv(os.path.join(out, "final.csv"), header, rows)
-
-    snap_header = ["t"] + header
-    snap_rows = []
-    for snap in traj.snapshots:
-        snap_rows.extend([snap.time] + r for r in _state_rows(snap)[1])
-    write_csv(os.path.join(out, "snapshots.csv"), snap_header, snap_rows)
+    write_csv(os.path.join(out, "series.csv"), list(traj.series),
+              list(traj.series.values()))
+    write_csv(os.path.join(out, "final.csv"), *_state_columns(fin))
+    _write_snapshots(os.path.join(out, "snapshots.csv"), traj.snapshots)
 
     report = [("n_particles", fin.n), ("h", h), ("dt", traj.dt),
               ("n_steps", traj.n_steps), ("t_final", t_final),
@@ -475,7 +491,7 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     write_csv(os.path.join(out, "errors.csv"),
               ["h", "eps", "n_particles", "l1_error", "weighted_error",
                "mass_excess", "support_excess"],
-              members)
+              list(zip(*members)))
 
     hs = [m[0] for m in members]
     l1 = [m[3] for m in members]
@@ -519,7 +535,8 @@ def _self_converge(cfg, out, profile, model, cutoff, run, h_list) -> int:
     errors = [e for _h, e in fit.pairs]
 
     os.makedirs(out, exist_ok=True)
-    write_csv(os.path.join(out, "errors.csv"), ["h", "l1_error"], fit.pairs)
+    write_csv(os.path.join(out, "errors.csv"), ["h", "l1_error"],
+              [hs, errors])
     write_report(os.path.join(out, "report.txt"), [
         ("t_final", t_final), ("reference", "self"),
         ("truth_h", res.truth_h),
@@ -577,11 +594,11 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "gaps.csv"),
               ["n", "h", "weak_gap", "n_clusters", "total_mass",
-               "conclusive", "monitors_ok"], gap_rows)
+               "conclusive", "monitors_ok"], list(zip(*gap_rows)))
     write_csv(os.path.join(out, "clusters.csv"),
               ["n", "cluster"] + [f"center{k}" for k in range(model.dim)]
               + ["mass"],
-              cluster_rows)
+              list(zip(*cluster_rows)))
 
     report = [
         ("t_final", t_final), ("verdict", verdict.verdict),
@@ -628,11 +645,12 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
     summary_rows = []
     mass_series = []
     for (name, final_mass, rep, summary, predicted,
-         keys, series, header, state, monitors) in members:
+         series, state, monitors) in members:
         sub = os.path.join(out, name)
         os.makedirs(sub, exist_ok=True)
-        write_csv(os.path.join(sub, "series.csv"), keys, series)
-        write_csv(os.path.join(sub, "final.csv"), header, state)
+        write_csv(os.path.join(sub, "series.csv"), list(series),
+                  list(series.values()))
+        write_csv(os.path.join(sub, "final.csv"), *state)
         report = [("scenario", name), ("t_final", t_final),
                   ("final_mass", final_mass),
                   ("conclusive", rep.conclusive),
@@ -651,15 +669,13 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
             float(np.atleast_1d(first[0])[0]), float(first[1]),
             np.nan if predicted is None else predicted,
             rep.conclusive, monitors.ok])
-        cols = dict(zip(keys, zip(*series)))
-        mass_series.append(PlotSeries(name, np.array(cols["t"]),
-                                      np.array(cols["mass"])))
+        mass_series.append(PlotSeries(name, series["t"], series["mass"]))
 
     write_csv(os.path.join(out, "summary.csv"),
               ["scenario", "final_mass", "n_clusters", "cluster0_center",
                "cluster0_mass", "predicted_limit_mass", "conclusive",
                "monitors_ok"],
-              summary_rows)
+              list(zip(*summary_rows)))
     line_plot(os.path.join(out, "masses.svg"), mass_series,
               title="total mass per scenario", xlabel="t", ylabel="mass")
     return 0

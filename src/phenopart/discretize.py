@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .model import Box, ModelSpec, as_points, nonlocal_field, pair_sum
 
@@ -203,6 +202,8 @@ def check_spacing(ens: ParticleEnsemble) -> SpacingReport:
     """
     if ens.n < 2:
         raise SpacingError("spacing needs at least 2 particles")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(ens.positions)
     dist, _ = tree.query(ens.positions, k=2)
     nearest = dist[:, 1]

@@ -14,8 +14,12 @@ every stage.  Default step: dt = min(1e-3, h / (2 a_sup)).
 The integrator carries the ensemble as one state array S of shape
 (d + 2, n): rows 0..d-1 hold the position components, row d the volumes
 and row d + 1 the intensities.  Each stage returns the derivative K in the
-same layout, so a stage input is S + c dt K and the RK4 update is one
-expression on the whole state.
+same layout, so a stage input is S + c dt K and the RK4 update acts on
+the whole state.  The step reuses its buffers: the three stage inputs are
+formed in one preallocated array, and the update accumulates
+((k1 + 2 k2) + 2 k3) + k4 in k2's storage and adds it to S in place.  Each
+in-place pass rounds as the allocating expression would, so the bits are
+the same.
 
 Mutation pruning: rows are restricted once, at t = 0, to particles whose
 initial position lies within supp_x m padded by a_sup T (no other particle
@@ -211,16 +215,30 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     rows = [(t0, mass, np.min(S[d + 1]), np.max(S[d + 1]), np.min(S[d]),
              np.max(S[d]), 0.0)]
     snapshots = [ens0.copy()]
+    # the ufunc reductions behind np.min and np.max, without their wrappers
+    vmin, vmax = np.minimum.reduce, np.maximum.reduce
+    U = np.empty_like(S)
 
     for step in range(n_steps):
         t = t0 + step * dt
         k1 = _stage_rhs(model, t, S, mut_rows)
         v = _points(k1)
-        speed_max = float(np.max(np.sqrt(pair_sum(v * v, axis=-1))))
-        k2 = _stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k1, mut_rows)
-        k3 = _stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k2, mut_rows)
-        k4 = _stage_rhs(model, t + dt, S + dt * k3, mut_rows)
-        S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # sqrt is monotone and correctly rounded: sqrt(max) == max(sqrt)
+        speed_max = math.sqrt(vmax(pair_sum(v * v, axis=-1)))
+        np.add(S, np.multiply(k1, 0.5 * dt, out=U), out=U)
+        k2 = _stage_rhs(model, t + 0.5 * dt, U, mut_rows)
+        np.add(S, np.multiply(k2, 0.5 * dt, out=U), out=U)
+        k3 = _stage_rhs(model, t + 0.5 * dt, U, mut_rows)
+        np.add(S, np.multiply(k3, dt, out=U), out=U)
+        k4 = _stage_rhs(model, t + dt, U, mut_rows)
+        # S += (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6.0
+        S += k2
         t_next = t0 + (step + 1) * dt
 
         finite = np.isfinite(S)
@@ -232,26 +250,28 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
                 f"non-finite {name} for particle {int(np.argmin(ok))} "
                 f"at t={t_next:.6g}")
         x, w, nu = _points(S), S[d], S[d + 1]
-        nu_max = float(np.max(nu))
-        nu_min = float(np.min(nu))
+        nu_max = float(vmax(nu))
+        nu_min = float(vmin(nu))
         if nu_min < -NU_ALARM * max(nu_max, 1e-300):
             i = int(np.argmin(nu))
             raise IntegrationError(
                 f"negative intensity nu[{i}]={nu_min:.3e} at t={t_next:.6g} "
                 f"(alarm threshold {-NU_ALARM:.1e} * max nu); intensities "
                 "are never clamped, the run is aborted instead")
-        wm = float(np.min(w))
+        wm = float(vmin(w))
         if wm <= 0.0:
             i = int(np.argmin(w))
             raise IntegrationError(
                 f"non-positive volume w[{i}]={wm:.3e} at t={t_next:.6g}")
 
         mass = float(pair_sum(nu * w))
-        disp = np.sqrt(pair_sum((x - x0) ** 2, axis=-1))
+        dx = x - x0
+        dx *= dx
         support_excess = max(support_excess,
-                             float(np.max(disp)) - model.a_sup * (t_next - t0))
+                             math.sqrt(vmax(pair_sum(dx, axis=-1)))
+                             - model.a_sup * (t_next - t0))
 
-        rows.append((t_next, mass, nu_min, nu_max, wm, np.max(w), speed_max))
+        rows.append((t_next, mass, nu_min, nu_max, wm, vmax(w), speed_max))
         if (step + 1) % snap_every == 0 or step + 1 == n_steps:
             snapshots.append(ParticleEnsemble(
                 time=t_next, positions=x.copy(), volumes=w.copy(),

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "Box",
@@ -136,6 +135,9 @@ class Box:
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
         """Low-discrepancy sample of n interior points (deterministic)."""
+        # scipy.stats is slow to import and nothing else reads it
+        from scipy.stats import qmc
+
         eng = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
         u = eng.random(n)
         return self.lo + u * (self.hi - self.lo)

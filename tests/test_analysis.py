@@ -122,6 +122,44 @@ def test_two_basins_two_clusters():
     assert m0 > 0.1 and m1 > 0.1
 
 
+def test_four_basins_four_clusters_in_2d():
+    """a = -sin(2 pi x) on each axis sends the unit square to its corners;
+    the clusters are linked by a k-d tree in d > 1."""
+    sup = pp.Box([0.0, 0.0], [1.0, 1.0])
+
+    def advection(t, X, I):
+        return -np.sin(2.0 * np.pi * X)
+
+    def advection_div_x(t, X, I):
+        return -2.0 * np.pi * np.add.reduce(np.cos(2.0 * np.pi * X), axis=1)
+
+    def growth(t, X, I):
+        return 1.0 - I
+
+    model = pp.ModelSpec(
+        name="four-basins", dim=2, advection=advection,
+        advection_div_x=advection_div_x, growth=growth,
+        kernel_g=pp.constant_kernel(1.0),
+        support_v0=sup, a_sup=np.sqrt(2.0), I_star=1.5, r_star=0.25)
+    prof = pp.InitialDensity(name="unit-square",
+                             evaluator=lambda X: np.ones(X.shape[0]),
+                             support=sup)
+    # pos_tol = 10 h = 0.625 links each corner but no two of them
+    ens = pp.partition_support(prof, model, 1 / 16, T=4.0)
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=4.0, dt=1e-3,
+                                                 snapshot_every=10 ** 9))
+    rep = pp.detect_limit_clusters(traj)
+    assert rep.conclusive
+    assert len(rep.clusters) == 4
+    corners = sorted(tuple(np.round(c).tolist()) for c, _m in rep.clusters)
+    assert corners == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for center, mass in rep.clusters:
+        np.testing.assert_allclose(center, np.round(center), atol=1e-6)
+        assert mass == pytest.approx(0.25, rel=1e-6)
+    assert sum(m for _c, m in rep.clusters) == pytest.approx(
+        rep.total_mass, rel=1e-12)
+
+
 class TestLimitMassPrediction:
     def test_no_root_in_bracket(self):
         prof = pp.build_profile("one-minus-x")

@@ -1,10 +1,16 @@
 """Command-line driver: artifacts, determinism, overrides, exit codes."""
 
+import csv
+import math
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phenopart import reference
+from phenopart import cli, reference
 from phenopart.cli import load_config, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -357,3 +363,91 @@ class TestExitCodes:
 def test_shipped_configs_load(name):
     cfg = load_config(os.path.join(CONFIG_DIR, name))
     assert cfg.get("model", "name")
+
+
+# ---------------------------------------------------------------------------
+# the column writer against the row writer it replaced
+
+
+def _reference_write_csv(path, header, rows):
+    """The row-by-row writer: `_cell` of every value, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._cell(v) for v in row])
+
+
+def _both_writers(header, columns):
+    """Bytes of the column writer and of the row writer on the same table;
+    a row holds each array's numpy scalars, as the per-row tables did."""
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        cli.write_csv(new, header, columns)
+        _reference_write_csv(old, header, list(zip(*columns)))
+        with open(new, "rb") as a, open(old, "rb") as b:
+            return a.read(), b.read()
+
+
+def _cycle(cells, n):
+    return [cells[i % len(cells)] for i in range(n)]
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                  2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, 0.1]
+LONG = 2 * cli._CSV_BLOCK + 3
+
+
+def test_column_writer_matches_row_writer_on_special_values():
+    floats = np.resize(np.array(SPECIAL_FLOATS), LONG)
+    columns = [np.arange(LONG), floats, np.resize([True, False, True], LONG),
+               _cycle(["a,b", 'say "hi"', "plain"], LONG),
+               _cycle([np.float64(-0.0), 7, np.int64(-3), np.bool_(True), "x",
+                       1.5], LONG)]
+    new, old = _both_writers(["i", "f", "b", "s", "mixed"], columns)
+    assert new == old
+    assert new.count(b"\r\n") == LONG + 1
+    assert b'"a,b"' in new and b'"say ""hi"""' in new
+
+
+_CELLS = {
+    "float": st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS),
+    "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "bool": st.booleans(),
+    "text": st.text(alphabet='ab,"\n ', max_size=6),
+    "mixed": st.one_of(st.floats(), st.integers(-10, 10), st.booleans(),
+                       st.text(alphabet='a,"', max_size=3)),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one length, cycled from a few drawn cells; numeric kinds
+    become numpy arrays, the others stay lists."""
+    n = draw(st.sampled_from([0, 1, 5, cli._CSV_BLOCK, LONG]))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=4))
+    columns = []
+    for kind in kinds:
+        cells = draw(st.lists(_CELLS[kind], min_size=1, max_size=6))
+        cycled = _cycle(cells, n)
+        if kind in ("float", "int", "bool"):
+            cycled = np.array(cycled, dtype={"float": float, "int": np.int64,
+                                             "bool": bool}[kind])
+        columns.append(cycled)
+    return [f"c{k}" for k in range(len(kinds))], columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables())
+def test_column_writer_matches_row_writer(table):
+    header, columns = table
+    new, old = _both_writers(header, columns)
+    assert new == old
+
+
+def test_column_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        cli.write_csv(str(tmp_path / "x.csv"), ["a", "b"],
+                      [np.zeros(3), [1, 2]])

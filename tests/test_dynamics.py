@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import phenopart as pp
+from phenopart import dynamics
 from conftest import make_ensemble
 
 # 1 / (1 + e^-5), logistic mass at t = 5 from rho0 = 1/2, r0 = 1
@@ -230,3 +231,96 @@ def test_monitors_hold_on_random_clouds(advsel_model, seed, n):
     assert np.all(traj.series["mass"] <= bound + 1e-6 * 1.2)
     disp = np.abs(traj.final.positions - ens.positions).max()
     assert disp <= advsel_model.a_sup * 0.2 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the step loop against the expression-per-stage loop it replaced
+
+
+def _reference_steps(model, ens0, dt, n_steps, snap_every):
+    """Series, snapshots and support excess from a plain RK4 loop: fresh
+    arrays per stage input and per update, np.min / np.max monitors."""
+    S = dynamics._pack(ens0)
+    x0, d, t0 = ens0.positions, ens0.dim, ens0.time
+    mut_rows = dynamics._mutation_rows(model, ens0, n_steps * dt)
+    rows = [(t0, ens0.mass(), np.min(S[d + 1]), np.max(S[d + 1]),
+             np.min(S[d]), np.max(S[d]), 0.0)]
+    snapshots = [ens0.copy()]
+    support_excess = 0.0
+    for step in range(n_steps):
+        t = t0 + step * dt
+        k1 = dynamics._stage_rhs(model, t, S, mut_rows)
+        v = dynamics._points(k1)
+        speed_max = float(np.max(np.sqrt(pp.pair_sum(v * v, axis=-1))))
+        k2 = dynamics._stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k1,
+                                 mut_rows)
+        k3 = dynamics._stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k2,
+                                 mut_rows)
+        k4 = dynamics._stage_rhs(model, t + dt, S + dt * k3, mut_rows)
+        S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = t0 + (step + 1) * dt
+        x, w, nu = dynamics._points(S), S[d], S[d + 1]
+        disp = np.sqrt(pp.pair_sum((x - x0) ** 2, axis=-1))
+        support_excess = max(support_excess, float(np.max(disp))
+                             - model.a_sup * (t_next - t0))
+        rows.append((t_next, float(pp.pair_sum(nu * w)), float(np.min(nu)),
+                     float(np.max(nu)), float(np.min(w)), np.max(w),
+                     speed_max))
+        if (step + 1) % snap_every == 0 or step + 1 == n_steps:
+            snapshots.append(pp.ParticleEnsemble(
+                time=t_next, positions=x.copy(), volumes=w.copy(),
+                intensities=nu.copy(), h=ens0.h))
+    series = [np.array(col, dtype=float) for col in zip(*rows)]
+    return series, snapshots, support_excess
+
+
+def _mutation_toy(support):
+    """advsel1d with a Gaussian mutation kernel whose x- and y-supports
+    cover part of the lattice, so both row and column pruning act."""
+    base = pp.build_model("advsel1d", support)
+    return pp.ModelSpec(
+        name="mutation-toy", dim=1, advection=base.advection,
+        advection_div_x=base.advection_div_x, growth=base.growth,
+        kernel_g=base.kernel_g, support_v0=support, a_sup=base.a_sup,
+        mutation=lambda t, X, Y, I: 0.5 * np.exp(
+            -(X[:, :1] - Y[:, 0][None, :]) ** 2 / 0.01) / (1.0 + I[:, None]),
+        kernel_d=pp.constant_kernel(1.0),
+        support_m_x=pp.Box([0.2], [0.7]), support_m_y=pp.Box([0.1], [0.6]),
+        M_bar=0.5)
+
+
+def _case(name):
+    if name == "twotrait2d":
+        prof = pp.build_profile("bump-pair")
+        return prof, pp.build_model("twotrait2d", prof.support), 1 / 10
+    if name == "nldrift1d":
+        prof = pp.build_profile("bump", center=0.5, width=0.4)
+        return prof, pp.build_model("nldrift1d", prof.support), 1 / 40
+    prof = pp.build_profile("one-minus-x")
+    if name == "mutation":
+        return prof, _mutation_toy(prof.support), 1 / 40
+    return prof, pp.build_model(name, prof.support), 1 / 40
+
+
+@pytest.mark.parametrize("name", ["advsel1d", "twotrait2d", "nldrift1d",
+                                  "mutation"])
+def test_step_loop_matches_reference_bitwise(name):
+    prof, model, h = _case(name)
+    T, dt = 0.2, 4e-3
+    ens = pp.partition_support(prof, model, h, T=T)
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=dt,
+                                                 snapshot_every=7))
+    if name == "mutation":
+        assert 0 < dynamics._mutation_rows(model, ens, T).size < ens.n
+    series, snapshots, support_excess = _reference_steps(
+        model, ens, traj.dt, traj.n_steps, 7)
+    assert [col.tobytes() for col in traj.series.values()] == \
+        [col.tobytes() for col in series]
+    assert len(traj.snapshots) == len(snapshots)
+    for got, want in zip(traj.snapshots, snapshots):
+        assert got.time == want.time
+        for a, b in ((got.positions, want.positions),
+                     (got.volumes, want.volumes),
+                     (got.intensities, want.intensities)):
+            assert a.tobytes() == b.tobytes()
+    assert traj.monitors.support_excess_max == support_excess

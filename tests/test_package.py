@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,14 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about a second of start-up and only `Box.sample`
+    reads it, so importing the package and its CLI must not load it."""
+    code = ("import sys, phenopart, phenopart.cli; "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(pp.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
