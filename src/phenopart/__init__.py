@@ -29,7 +29,7 @@ from .dynamics import (IntegrationError, MonitorReport, RunConfig, Trajectory,
 from .model import (MODELS, Box, EvaluationError, Kernel, ModelSpec,
                     ValidationEntry, ValidationReport, build_model,
                     constant_kernel, eval_divergence, eval_nonlocal,
-                    eval_velocity, fd_divergence, moment_kernel,
+                    eval_velocity, moment_kernel,
                     pair_sum, validate_model)
 from .reference import (OracleError, ReferenceConfig, ReferenceSolution,
                         characteristics, l1_distance, refine_until_stable,

@@ -403,30 +403,6 @@ def eval_divergence(model: ModelSpec, t: float, x, ens) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference fallbacks (used by expression-defined models)
-
-
-def fd_divergence(advection: Callable, dim: int) -> Callable:
-    """Central-difference x-divergence of an advection evaluator."""
-
-    def _div(t, X, I):
-        n = X.shape[0]
-        out = np.zeros(n)
-        for axis in range(dim):
-            step = 6e-6 * np.maximum(1.0, np.abs(X[:, axis]))
-            Xp = X.copy()
-            Xm = X.copy()
-            Xp[:, axis] += step
-            Xm[:, axis] -= step
-            ap = np.asarray(advection(t, Xp, I))[:, axis]
-            am = np.asarray(advection(t, Xm, I))[:, axis]
-            out += (ap - am) / (2.0 * step)
-        return out
-
-    return _div
-
-
-# ---------------------------------------------------------------------------
 # hypothesis validation by sampling
 
 
@@ -685,20 +661,28 @@ def build_twotrait2d(support_v0: Box,
 
     The advection components are expression strings over t, x1, x2, I1, I2,
     where I_j is the j-th moment of the measure (psi_a^(j)(t, x, y) = y_j).
-    The divergence falls back to central differences.  The moment kernels
-    are x-free, so the chain-rule term vanishes and no dA/dI is declared.
+    The divergence d a1/d x1 + d a2/d x2 at fixed I is differentiated
+    exactly from the expressions.  The moment kernels are x-free, so the
+    chain-rule term vanishes and no dA/dI is declared.
     There is no selection or mutation; mass is conserved and the saturation
     hypothesis is unavailable (I_star = inf), so this preset is qualitative:
     use it for limit-cluster geometry, not for mass-bound studies.
     """
-    from .expressions import compile_expression
+    from .expressions import compile_expression, differentiate
 
     f1 = compile_expression(a1, ("t", "x1", "x2", "I1", "I2"))
     f2 = compile_expression(a2, ("t", "x1", "x2", "I1", "I2"))
+    df1 = differentiate(f1, "x1")
+    df2 = differentiate(f2, "x2")
 
     def advection(t, X, I):
         env = (t, X[:, 0], X[:, 1], I[:, 0], I[:, 1])
         return np.stack([f1(*env), f2(*env)], axis=1)
+
+    def advection_div_x(t, X, I):
+        env = (t, X[:, 0], X[:, 1], I[:, 0], I[:, 1])
+        # out= broadcasts a derivative that folded to a constant
+        return np.add(df1(*env), df2(*env), out=np.empty(X.shape[0]))
 
     def growth(t, X, I):
         return np.zeros(X.shape[0])
@@ -706,7 +690,7 @@ def build_twotrait2d(support_v0: Box,
     return ModelSpec(
         name="twotrait2d", dim=2,
         advection=advection,
-        advection_div_x=fd_divergence(advection, 2),
+        advection_div_x=advection_div_x,
         growth=growth,
         kernels_a=(moment_kernel(0), moment_kernel(1)),
         kernel_g=constant_kernel(1.0),

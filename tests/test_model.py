@@ -183,16 +183,16 @@ def test_rhs_sums_graded_kernel_once(random_ensemble):
 
 def test_moment_kernels_skip_the_chain_rule_term():
     """Moment kernels have no x-gradient, so the model declares no dA/dI and
-    one stage makes one velocity evaluation plus four for the FD divergence.
-    The divergence still matches central differences of the velocity."""
+    one stage makes one velocity evaluation; the divergence is differentiated
+    from the laws, not from further velocity evaluations.  It still matches
+    central differences of the velocity."""
     model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
     counts = {"advection": 0}
-    adv = _counted(model.advection, counts, "advection")
     model = dataclasses.replace(
-        model, advection=adv, advection_div_x=pp.fd_divergence(adv, 2))
+        model, advection=_counted(model.advection, counts, "advection"))
     ens = make_ensemble(40, seed=7, dim=2)
     pp.rhs(model, ens)
-    assert counts == {"advection": 5}
+    assert counts == {"advection": 1}
 
     step = 1e-6
     for xq in ([0.2, 0.7], [-0.5, 0.3], [0.9, -0.8]):
@@ -205,13 +205,31 @@ def test_moment_kernels_skip_the_chain_rule_term():
         assert div == pytest.approx(fd, abs=1e-6)
 
 
-def test_fd_divergence_fallback_matches_analytic(advsel_model):
-    fd_div = pp.fd_divergence(advsel_model.advection, dim=1)
-    X = np.linspace(0.05, 0.95, 7)[:, None]
-    I = np.zeros((7, advsel_model.n_a))
-    want = advsel_model.advection_div_x(0.0, X, I)
-    got = fd_div(0.0, X, I)
-    np.testing.assert_allclose(got, want, atol=1e-7)
+def test_twotrait_divergence_is_exact():
+    """The divergence of the shipped twotrait2d laws, a1 = x1 - x1**3 -
+    0.1*I1 and a2 = -0.5*x2 - 0.1*I2, at fixed I."""
+    model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.5, 1.5, size=(50, 2))
+    I = rng.uniform(-1.0, 1.0, size=(50, 2))
+    div = model.advection_div_x(0.0, X, I)
+    np.testing.assert_allclose(div, 1 - 3 * X[:, 0] ** 2 - 0.5,
+                               rtol=0, atol=1e-14)
+    step = 1e-5
+    fd = 0.0
+    for axis, e in enumerate(step * np.eye(2)):
+        up = model.advection(0.0, X + e, I)[:, axis]
+        dn = model.advection(0.0, X - e, I)[:, axis]
+        fd = fd + (up - dn) / (2 * step)
+    np.testing.assert_allclose(div, fd, rtol=0, atol=1e-9)
+
+
+def test_twotrait_constant_divergence_has_one_value_per_particle():
+    model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]),
+                           a1="0.5*x1 - I1", a2="-x2")
+    X = np.zeros((4, 2))
+    np.testing.assert_array_equal(model.advection_div_x(0.0, X, X),
+                                  np.full(4, -0.5))
 
 
 # ---------------------------------------------------------------------------
