@@ -68,11 +68,6 @@ DEFAULTS = {
     "reproduce": {"n": "500", "t_final": "30.0"},
 }
 
-# keys without a default that some command reads when they are set
-OPTIONAL = {
-    "time": ("dt",),
-}
-
 ENV_PREFIX = "PHENOPART_"
 
 
@@ -102,14 +97,15 @@ def load_config(path: str | None) -> configparser.ConfigParser:
             cfg[section] = {}
         cfg[section][option.lower()] = value
     _check_keys(cfg)
+    _check_values(cfg)
     return cfg
 
 
 def _check_keys(cfg: configparser.ConfigParser) -> None:
     """Reject sections and keys that no command reads; [model] and [initial]
     take the parameters of the chosen builder."""
-    allowed = {s: set(v) | set(OPTIONAL.get(s, ()))
-               for s, v in DEFAULTS.items()}
+    allowed = {s: set(v) for s, v in PARSERS.items()}
+    allowed.update(model={"name"}, initial={"profile"})
     for section, key, table, skip in (("model", "name", MODELS, 1),
                                       ("initial", "profile", PROFILES, 0)):
         name = cfg[section][key]
@@ -168,15 +164,76 @@ def _num_list(text: str, parse=_num) -> list:
     return [parse(p) for p in items]
 
 
-def _get(cfg, section: str, option: str, parse=_num):
-    """Parsed value of [section] option, None when it is unset; a value
-    `parse` rejects is a usage error that names the section and the key."""
+def _h_list(text: str) -> list:
+    """Spacings of a convergence sweep: strictly decreasing, at least 3."""
+    h_list = _num_list(text, _positive)
+    if sorted(set(h_list), reverse=True) != h_list:
+        raise UsageError("must be strictly decreasing")
+    if len(h_list) < 3:
+        raise UsageError("needs at least 3 entries for an order fit")
+    return h_list
+
+
+def _n_list(text: str) -> list:
+    """Particle counts of a long-horizon sweep: at least 2 distinct."""
+    n_list = _num_list(text, _count)
+    if len(set(n_list)) < 2:
+        raise UsageError("needs at least 2 distinct entries for a verdict")
+    return n_list
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise UsageError(f"expected a boolean, got {text!r}") from None
+
+
+def _cutoff(text: str):
+    try:
+        return build_cutoff(text.strip())
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+
+
+# the parser of every key outside [model] and [initial], whose keys go to
+# the chosen builder; these are the keys a config may set
+PARSERS = {
+    "discretize": {"h": _positive},
+    "time": {"t_final": _num, "dt": _num},
+    "regularize": {"cutoff": _cutoff, "eps_q": _num},
+    "oracle": {"x_lo": _num, "x_hi": _num, "dx": _num, "dt": _num,
+               "enabled": _boolean},
+    "converge": {"h_list": _h_list},
+    "asymptote": {"n_list": _n_list, "floor": _positive,
+                  "target": _positive, "max_levels": _count},
+    "reproduce": {"n": _count, "t_final": _num},
+}
+
+
+def _get(cfg, section: str, option: str):
+    """Parsed value of [section] option, None when it is unset; a value its
+    parser rejects is a usage error that names the section and the key."""
     if not cfg.has_option(section, option):
         return None
     try:
-        return parse(cfg.get(section, option))
+        return PARSERS[section][option](cfg.get(section, option))
     except UsageError as exc:
         raise UsageError(f"[{section}] {option}: {exc}") from exc
+
+
+def _check_values(cfg) -> None:
+    """Parse every key and run the checks that span keys, so that a bad
+    value exits before anything runs, also where the command does not
+    read it."""
+    for section, parsers in PARSERS.items():
+        for option in parsers:
+            _get(cfg, section, option)
+    _run_config(cfg)
+    _run_config(cfg, "reproduce")
+    _reference_config(cfg)
+    for h in [_get(cfg, "discretize", "h")] + _get(cfg, "converge", "h_list"):
+        _epsilon(cfg, h)
 
 
 def _checked(where: str, build, *args, **kwargs):
@@ -193,14 +250,6 @@ def _maybe_num(text: str):
         return _num(text)
     except UsageError:
         return text
-
-
-def _get_bool(cfg, section: str, option: str, fallback: bool) -> bool:
-    try:
-        return cfg.getboolean(section, option, fallback=fallback)
-    except ValueError as exc:
-        raise UsageError(
-            f"[{section}] {option} is not a boolean") from exc
 
 
 def build_objects(cfg: configparser.ConfigParser):
@@ -221,18 +270,19 @@ def build_objects(cfg: configparser.ConfigParser):
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad [model] section: {exc}") from exc
 
-    try:
-        cutoff = build_cutoff(cfg.get("regularize", "cutoff",
-                                      fallback="gaussian"))
-    except KeyError as exc:
-        raise UsageError(f"unknown cutoff: {exc}") from exc
-    return profile, model, cutoff
+    return profile, model, _get(cfg, "regularize", "cutoff")
 
 
-def _run_config(cfg) -> RunConfig:
-    return _checked("[time]", RunConfig,
-                    t_final=_get(cfg, "time", "t_final"),
-                    dt=_get(cfg, "time", "dt"))
+def _run_config(cfg, section: str = "time") -> RunConfig:
+    """The integration window of [time], or of [reproduce], which has no dt."""
+    return _checked(f"[{section}]", RunConfig,
+                    t_final=_get(cfg, section, "t_final"),
+                    dt=_get(cfg, section, "dt"))
+
+
+def _reference_config(cfg) -> ReferenceConfig:
+    return _checked("[oracle]", ReferenceConfig, **{
+        k: _get(cfg, "oracle", k) for k in ("x_lo", "x_hi", "dx", "dt")})
 
 
 def _oracle_config(cfg, model) -> ReferenceConfig:
@@ -241,8 +291,7 @@ def _oracle_config(cfg, model) -> ReferenceConfig:
         raise UsageError("the grid reference covers 1D models only")
     if not model.is_local:
         raise UsageError("the grid reference requires local advection")
-    return _checked("[oracle]", ReferenceConfig, **{
-        k: _get(cfg, "oracle", k) for k in ("x_lo", "x_hi", "dx", "dt")})
+    return _reference_config(cfg)
 
 
 def _epsilon(cfg, h: float) -> float:
@@ -413,12 +462,12 @@ def _pool_map(func, payloads, workers: int):
 
 def cmd_simulate(cfg, out: str, workers: int) -> int:
     profile, model, cutoff = build_objects(cfg)
-    h = _get(cfg, "discretize", "h", _positive)
+    h = _get(cfg, "discretize", "h")
     run = _run_config(cfg)
     t_final = run.t_final
     eps = _epsilon(cfg, h)
     oracle = None
-    if _get_bool(cfg, "oracle", "enabled", False):
+    if _get(cfg, "oracle", "enabled"):
         oracle = _oracle_config(cfg, model)
     ens0 = partition_support(profile, model, h, t_final)
     traj = integrate(model, ens0, run)
@@ -470,13 +519,7 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
         raise UsageError("converge needs a 1D model")
     run = _run_config(cfg)
     t_final = run.t_final
-    h_list = _get(cfg, "converge", "h_list",
-                  lambda text: _num_list(text, _positive))
-    if sorted(set(h_list), reverse=True) != h_list:
-        raise UsageError("[converge] h_list must be strictly decreasing")
-    if len(h_list) < 3:
-        raise UsageError("[converge] h_list needs at least 3 entries "
-                         "for an order fit")
+    h_list = _get(cfg, "converge", "h_list")
     # both paths need a valid eps rule at every h; check it before any run
     eps_list = [_epsilon(cfg, h) for h in h_list]
     if not model.is_local:
@@ -562,17 +605,13 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
     oracle = _oracle_config(cfg, model)
     run = _run_config(cfg)
     t_final = run.t_final
-    n_list = _get(cfg, "asymptote", "n_list",
-                  lambda text: _num_list(text, _count))
-    if len(set(n_list)) < 2:
-        raise UsageError("[asymptote] n_list needs at least 2 distinct "
-                         "entries for a verdict")
-    floor = _get(cfg, "asymptote", "floor", _positive)
+    n_list = _get(cfg, "asymptote", "n_list")
+    floor = _get(cfg, "asymptote", "floor")
 
     sol, history = refine_until_stable(
         model, profile, oracle, t_final,
-        target=_get(cfg, "asymptote", "target", _positive),
-        max_levels=_get(cfg, "asymptote", "max_levels", _count))
+        target=_get(cfg, "asymptote", "target"),
+        max_levels=_get(cfg, "asymptote", "max_levels"))
 
     members = _pool_map(_asymptote_member,
                         [(cfg, run, n) for n in n_list], workers)
@@ -633,9 +672,8 @@ SCENARIOS = [
 
 
 def cmd_reproduce(cfg, out: str, workers: int) -> int:
-    n = _get(cfg, "reproduce", "n", _count)
-    run = _checked("[reproduce]", RunConfig,
-                   t_final=_get(cfg, "reproduce", "t_final"))
+    n = _get(cfg, "reproduce", "n")
+    run = _run_config(cfg, "reproduce")
     t_final = run.t_final
 
     members = _pool_map(_reproduce_member,

@@ -1,15 +1,14 @@
 """Initial densities and their particle discretization.
 
 The initial density v0 is sampled on the lattice of half-open cells
-[i1 h, (i1+1) h) x ... x [id h, (id+1) h) that tile the truncation box
+[i1 h, (i1+1) h) x ... x [id h, (id+1) h) that tile the box
 
-    O_T = (supp v0  union  supp_x m) + ball(2 a_sup T),
+    supp v0  union  mutation_reach(model, T),
 
 one particle per cell at the cell center x_i = h (i + 1/2), with volume
-w_i = h^d and intensity nu_i = v0(x_i).  Cells where v0 vanishes are dropped
-unless they can receive mutation influx (they intersect the mutation
-x-support); dropped cells carry nu = 0 forever, so dropping never changes
-the retained trajectories.
+w_i = h^d and intensity nu_i = v0(x_i).  A cell is kept when nu_i != 0 or
+its center lies in the mutation reach, the particles the integrator feeds
+mutation influx; a dropped cell would carry nu = 0 forever.
 
 The lattice is anchored at the origin: cell boundaries at integer multiples
 of h, particles at half-integer multiples.  With v0 = 1 on [0, 1] and
@@ -124,32 +123,38 @@ class ParticleEnsemble:
 
 
 def active_box(model: ModelSpec, T: float) -> Box:
-    """Truncation box O_T: supports padded by the maximal displacement 2 a_sup T."""
+    """Diagnostics box O_T: supports padded by the maximal displacement 2 a_sup T."""
     box = model.support_v0
     if model.support_m_x is not None:
         box = box.union(model.support_m_x)
     return box.expand(2.0 * model.a_sup * T)
 
 
-def partition_support(v0: InitialDensity, model: ModelSpec, h: float, T: float,
-                      drop_empty: bool = True) -> ParticleEnsemble:
-    """Lattice discretization of v0 on the truncation box O_T.
+def mutation_reach(model: ModelSpec, T: float) -> Optional[Box]:
+    """The only region whose particles can gain mass by time T: supp_x m
+    padded by a_sup T, or None without mutation."""
+    if model.mutation is None:
+        return None
+    return model.support_m_x.expand(model.a_sup * T)
+
+
+def partition_support(v0: InitialDensity, model: ModelSpec, h: float,
+                      T: float) -> ParticleEnsemble:
+    """Lattice discretization of v0 over supp v0 union mutation_reach(model, T).
 
     Cells are [ih, (i+1)h)^d with particles at centers h(i+1/2) in
-    lexicographic lattice order; w_i = h^d, nu_i = v0(x_i).  Empty cells
-    (nu = 0) are dropped unless drop_empty=False or they intersect the
-    mutation x-support (those can gain intensity later).
+    lexicographic lattice order; w_i = h^d, nu_i = v0(x_i).  A cell is kept
+    when nu_i != 0 or its center lies in the mutation reach.
     """
     if h <= 0:
         raise DiscretizationError("h must be positive")
     if v0.support.dim != model.dim:
         raise DiscretizationError("profile/model dimension mismatch")
-    box = active_box(model, T).union(v0.support)
+    reach = mutation_reach(model, T)
+    box = v0.support if reach is None else v0.support.union(reach)
     lo_idx = np.floor(box.lo / h).astype(np.int64)
     hi_idx = np.ceil(box.hi / h).astype(np.int64) - 1
     counts = hi_idx - lo_idx + 1
-    if np.any(counts < 1):
-        raise DiscretizationError("h larger than the truncation box")
     total = int(np.prod(counts.astype(float)))
     if total > 50_000_000:
         raise DiscretizationError(f"lattice of {total} cells is unreasonably large")
@@ -160,19 +165,9 @@ def partition_support(v0: InitialDensity, model: ModelSpec, h: float, T: float,
     centers = (idx + 0.5) * h
 
     nu = v0(centers)
-    if drop_empty:
-        keep = nu != 0.0
-        if model.support_m_x is not None:
-            # cells that intersect the mutation x-support can gain intensity
-            cell_lo = idx * h
-            cell_hi = (idx + 1) * h
-            overlaps = np.all(
-                (cell_hi >= model.support_m_x.lo) & (cell_lo <= model.support_m_x.hi),
-                axis=1)
-            keep = keep | overlaps
-    else:
-        keep = np.ones(nu.shape[0], dtype=bool)
-
+    keep = nu != 0.0
+    if reach is not None:
+        keep |= reach.contains(centers)
     if not np.any(keep):
         raise DiscretizationError(
             "no particles: v0 vanishes at every lattice center (h too coarse?)")

@@ -21,10 +21,10 @@ formed in one preallocated array, and the update accumulates
 in-place pass rounds as the allocating expression would, so the bits are
 the same.
 
-Mutation pruning: rows are restricted once, at t = 0, to particles whose
-initial position lies within supp_x m padded by a_sup T (no other particle
-can ever enter the mutation region); columns are restricted each stage to
-particles currently inside supp_y m.  Both prunings drop exact zeros only.
+Mutation pruning: rows are restricted once, at t = 0, to particles in
+``mutation_reach`` (supp_x m padded by a_sup T), the rule by which
+``partition_support`` keeps empty cells; columns are restricted each stage
+to particles currently inside supp_y m.  Both prunings drop exact zeros only.
 
 Runtime monitors (recorded every step, violations are hard errors where
 noted):
@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import ParticleEnsemble
+from .discretize import ParticleEnsemble, mutation_reach
 from .model import (ModelSpec, advection_inputs, divergence_field,
                     nonlocal_field, pair_sum, velocity_field)
 
@@ -123,12 +123,12 @@ class Trajectory:
 
 def _mutation_rows(model: ModelSpec, ens: ParticleEnsemble,
                    T: float) -> np.ndarray:
-    """Fixed row set (initial positions + a_sup*T padding) for mutation sums;
-    empty without mutation."""
-    if model.mutation is None:
+    """Fixed row set for mutation sums: the particles whose position lies
+    in the mutation reach; empty without mutation."""
+    reach = mutation_reach(model, T)
+    if reach is None:
         return np.empty(0, dtype=np.int64)
-    padded = model.support_m_x.expand(model.a_sup * T)
-    return np.flatnonzero(padded.contains(ens.positions))
+    return np.flatnonzero(reach.contains(ens.positions))
 
 
 def _pack(ens: ParticleEnsemble) -> np.ndarray:

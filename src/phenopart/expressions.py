@@ -10,6 +10,11 @@ several times cheaper than numpy's per-element pow.  Every other exponent
 (a float such as 2.5, a negative or larger integer, an expression) goes
 through pow.
 
+Every subexpression made only of constants is evaluated once, when it is
+compiled, to the value an evaluation would give; a value that is not a
+finite real number (such as `(-8)**(1/3)`, `1/0` or `1e308*10`) raises
+ValueError naming that subexpression.
+
 `differentiate(f, name)` returns the exact partial derivative of a compiled
 expression with respect to one of its variables, itself a compiled
 expression over the same variables.  It applies the sum, product, quotient,
@@ -106,6 +111,14 @@ def _compile(tree: ast.expr, names: tuple, functions: dict,
     index = {name: i for i, name in enumerate(names)}
 
     def build(node):
+        fn = build_node(node)
+        if any(isinstance(n, ast.Name) and n.id in index
+               for n in ast.walk(node)):
+            return fn
+        value = _constant_value(fn, node, source)
+        return lambda args: value
+
+    def build_node(node):
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
                 value = float(node.value)
@@ -162,6 +175,20 @@ def _compile(tree: ast.expr, names: tuple, functions: dict,
     evaluate.variables = names
     evaluate.tree = tree
     return evaluate
+
+
+def _constant_value(fn: Callable, node: ast.expr, source: str):
+    """The value of a variable-free subexpression; ValueError unless it is a
+    finite real number."""
+    where = f"constant {ast.unparse(node)!r} in {source!r}"
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(())
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{where} cannot be evaluated: {exc}") from None
+    if np.iscomplexobj(value) or not np.all(np.isfinite(value)):
+        raise ValueError(f"{where} is not a finite real number: {value!r}")
+    return value
 
 
 def _repeated_product(base: Callable, k: int) -> Callable:

@@ -208,7 +208,7 @@ class ModelSpec:
     :func:`validate_model` sampling, never inferred:
 
     - a_sup: speed bound on the region the dynamics can reach (controls the
-      support monitor and the truncation padding)
+      support monitor, the default step and the mutation reach)
     - I_star / r_star / K_const: growth saturation, R(t,x,I) + K_const <
       -r_star whenever I >= I_star; gives the mass bound
       max(initial mass, I_star / psi_g_min).  I_star = inf declares the

@@ -325,12 +325,30 @@ class TestExitCodes:
          "[converge] h_list"),
         ("converge", SELF_CFG.replace("1/50, 1/100", "1/50"), {},
          "[converge] h_list"),
+        # keys the command does not read
+        ("simulate", SIM_CFG + "\n[asymptote]\nfloor = -5\n", {},
+         "[asymptote] floor"),
+        ("simulate", SIM_CFG + "\n[asymptote]\nn_list = 1.5\n", {},
+         "[asymptote] n_list"),
+        ("simulate", SIM_CFG + "\n[oracle]\ndx = -1\n", {}, "[oracle] dx"),
+        ("simulate", SIM_CFG + "\n[reproduce]\nn = 0\n", {},
+         "[reproduce] n"),
+        ("simulate", SIM_CFG + "\n[converge]\nh_list = 1/10, 1/5\n", {},
+         "[converge] h_list"),
+        ("reproduce", "[regularize]\neps_q = 2\n", {}, "[regularize] eps_q"),
+        ("simulate", "[model]\nname = twotrait2d\n"
+         "a1 = x1 - x1**3 + (-8)**(1/3)\n[initial]\nprofile = bump-pair\n",
+         {}, "bad [model] section"),
     ], ids=["reproduce-n-zero", "reproduce-n-fraction",
             "reproduce-t_final-negative", "h-negative", "t_final-negative",
             "t_final-inf", "t_final-nan", "dt-zero", "eps_q-above-one", "oracle-empty-box",
             "oracle-nonlocal", "asymptote-nonlocal", "n_list-fraction",
             "n_list-one-distinct", "max_levels-fraction", "target-negative",
-            "floor-zero", "h_list-negative", "h_list-two", "self-h_list-two"])
+            "floor-zero", "h_list-negative", "h_list-two", "self-h_list-two",
+            "unread-floor-negative", "unread-n_list-fraction",
+            "unread-oracle-dx-negative", "unread-reproduce-n-zero",
+            "unread-h_list-increasing", "unread-eps_q-above-one",
+            "complex-constant-law"])
     def test_bad_value(self, tmp_path, capsys, monkeypatch, command, text,
                        env, word):
         """A bad value of a known key, or a model the grid reference cannot

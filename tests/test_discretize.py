@@ -109,6 +109,25 @@ class TestPartition:
         assert np.count_nonzero(ens.intensities) == 2
 
 
+@pytest.mark.parametrize("profile, model, h", [
+    ("const6", "advsel1d", 1 / 100),
+    ("one-minus-x", "advsel1d", 1 / 100),
+    ("bump", "nldrift1d", 1 / 100),
+    ("bump-pair", "twotrait2d", 2 / 100),
+])
+def test_lattice_does_not_depend_on_T_without_mutation(profile, model, h):
+    """Without mutation no empty cell can gain mass, so the horizon never
+    enters the partition."""
+    prof = pp.build_profile(profile)
+    spec = pp.build_model(model, prof.support)
+    ens = [pp.partition_support(prof, spec, h, T=T) for T in (0.0, 1.0, 40.0)]
+    for other in ens[1:]:
+        for a, b in ((ens[0].positions, other.positions),
+                     (ens[0].volumes, other.volumes),
+                     (ens[0].intensities, other.intensities)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestSpacing:
     def test_lattice_constants_are_unity(self, advsel_profile, advsel_model):
         ens = pp.partition_support(advsel_profile, advsel_model, 0.1, T=0.0)

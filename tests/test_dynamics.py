@@ -87,7 +87,10 @@ def test_zero_intensity_particles_do_not_alter_dynamics():
     prof = pp.build_profile("const", value=2.0, lo=0.3, hi=0.7)
     model = pp.build_model("advsel1d", pp.Box([0.0], [1.0]))
     lean = pp.partition_support(prof, model, 0.1, T=1.0)
-    full = pp.partition_support(prof, model, 0.1, T=1.0, drop_empty=False)
+    # every cell of [0, 1] at h = 0.1, the empty ones included
+    centers = (np.arange(10) + 0.5) * 0.1
+    full = pp.ParticleEnsemble(0.0, centers[:, None], np.full(10, 0.1),
+                               prof(centers[:, None]), h=0.1)
     assert full.n > lean.n
     mask = full.intensities != 0.0
     assert int(np.count_nonzero(mask)) == lean.n
@@ -100,6 +103,35 @@ def test_zero_intensity_particles_do_not_alter_dynamics():
                                traj_lean.final.intensities, atol=1e-12)
     carried = traj_full.final.intensities[~mask]
     np.testing.assert_array_equal(carried, 0.0)
+
+
+def test_mutation_mass_matches_closed_form():
+    """Drift a = 1 without growth, v0 = 1 on [0, 0.2] and m = 1/2 for x in
+    [1/2, 1], y in [0, 3].  All mass stays in [0, 3], so it grows at rate
+    1/2 * |[1/2, 1]| = 1/4: the mass at T = 1 is 0.2 e^(1/4).  The empty
+    cells that drift into supp_x m must be kept for that."""
+    m_x, m_y = pp.Box([0.5], [1.0]), pp.Box([0.0], [3.0])
+    model = pp.ModelSpec(
+        name="drift-mutation", dim=1,
+        advection=lambda t, X, I: np.ones_like(X),
+        advection_div_x=lambda t, X, I: np.zeros(X.shape[0]),
+        growth=lambda t, X, I: np.zeros(X.shape[0]),
+        kernel_g=pp.constant_kernel(1.0),
+        support_v0=pp.Box([0.0], [0.2]), a_sup=1.0,
+        mutation=lambda t, X, Y, I: 0.5 * (
+            m_x.contains(X)[:, None] & m_y.contains(Y)[None, :]),
+        kernel_d=pp.constant_kernel(1.0),
+        support_m_x=m_x, support_m_y=m_y, M_bar=0.5)
+    prof = pp.build_profile("const", value=1.0, lo=0.0, hi=0.2)
+    T = 1.0
+    ens = pp.partition_support(prof, model, 1 / 100, T=T)
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=1e-3))
+    assert traj.final.mass() == pytest.approx(0.2 * np.exp(0.25), rel=1e-3)
+    rows = dynamics._mutation_rows(model, ens, T)
+    # the rows are the lattice centers in supp_x m + a_sup T = [-0.5, 2],
+    # and every one of them was kept, so every empty particle is a row
+    assert rows.size == 250
+    assert np.isin(np.flatnonzero(ens.intensities == 0.0), rows).all()
 
 
 def test_negative_intensity_aborts():

@@ -1,5 +1,7 @@
 """Safe expression compiler used for config-supplied coefficient laws."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, reject, settings
@@ -77,6 +79,30 @@ def test_unary_and_division():
 def test_rejects_non_arithmetic(bad):
     with pytest.raises(ValueError):
         compile_expression(bad, ["x", "y"])
+
+
+@pytest.mark.parametrize("source, sub", [
+    ("x + (-8)**(1/3)", "(-8) ** (1 / 3)"),
+    ("x + 1/0", "1 / 0"),
+    ("x + 1e308*10", "1e+308 * 10"),
+    ("x * 10.0**400", "10.0 ** 400"),
+    ("x + log(-1)", "log(-1)"),
+    ("x * exp(1000)", "exp(1000)"),
+], ids=["complex", "zero-division", "inf", "overflow", "nan", "numpy-inf"])
+def test_constant_that_is_not_finite_real_is_rejected(source, sub):
+    """Constant subexpressions are evaluated once, when compiled, and must
+    be finite real numbers."""
+    with pytest.raises(ValueError, match=re.escape(repr(sub))):
+        compile_expression(source, ["x"])
+
+
+def test_folded_constants_keep_their_bits():
+    f = compile_expression("x*(1/3) + 2**0.5 - sin(1)*x**(2/3) + pi**2",
+                           ["x"])
+    x = np.linspace(0.1, 3.0, 41)
+    np.testing.assert_array_equal(
+        f(x), x * (1 / 3) + 2 ** 0.5 - np.sin(1.0) * x ** (2 / 3)
+        + np.pi * np.pi)
 
 
 def test_variable_order_is_positional():
@@ -210,26 +236,26 @@ def _expressions():
        x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
 def test_derivative_matches_central_difference(expr, wrt, x, y):
     source, kinks = expr
-    f = compile_expression(source, ["x", "y"])
+    try:
+        f = compile_expression(source, ["x", "y"])
+    except ValueError:
+        # a constant subexpression is not a finite real number
+        reject()
     step = 1e-5
     # the stencil moves the variable differentiated, the other stays put
     offsets = np.array([-step, -step / 10, 0.0, step / 10, step])
     at = {"x": np.full(5, x), "y": np.full(5, y)}
     at[wrt] = at[wrt] + offsets
-    try:
-        with np.errstate(all="ignore"):
-            values = np.broadcast_to(f(at["x"], at["y"]), (5,))
-            assume(np.isrealobj(values) and np.all(np.abs(values) < 1e6))
-            for kink in kinks:
-                k = compile_expression(kink, ["x", "y"])(at["x"], at["y"])
-                # no kink at or near the stencil's points
-                assume(np.isrealobj(k) and (np.all(k > 1e-3)
-                                            or np.all(k < -1e-3)))
-            d = np.broadcast_to(differentiate(f, wrt)(at["x"], at["y"]),
-                                (5,))[2]
-    except (ZeroDivisionError, OverflowError):
-        # a constant subexpression is evaluated in Python floats
-        reject()
+    with np.errstate(all="ignore"):
+        values = np.broadcast_to(f(at["x"], at["y"]), (5,))
+        assume(np.isrealobj(values) and np.all(np.abs(values) < 1e6))
+        for kink in kinks:
+            k = compile_expression(kink, ["x", "y"])(at["x"], at["y"])
+            # no kink at or near the stencil's points
+            assume(np.isrealobj(k) and (np.all(k > 1e-3)
+                                        or np.all(k < -1e-3)))
+        d = np.broadcast_to(differentiate(f, wrt)(at["x"], at["y"]),
+                            (5,))[2]
     coarse = (values[4] - values[0]) / (2 * step)
     fine = (values[3] - values[1]) / (step / 5)
     tol = 10 * step * (1 + abs(fine))
