@@ -103,17 +103,24 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 def _check_keys(cfg: configparser.ConfigParser) -> None:
     """Reject sections and keys that no command reads; [model] and [initial]
-    take the parameters of the chosen builder."""
+    take the parameters of the chosen builder, and those whose default is a
+    number must parse as one."""
     allowed = {s: set(v) for s, v in PARSERS.items()}
     allowed.update(model={"name"}, initial={"profile"})
+    numeric = []
     for section, key, table, skip in (("model", "name", MODELS, 1),
                                       ("initial", "profile", PROFILES, 0)):
         name = cfg[section][key]
         if name not in table:
             raise UsageError(f"unknown [{section}] {key} {name!r}; "
                              f"known: {', '.join(sorted(table))}")
-        params = list(inspect.signature(table[name]).parameters)[skip:]
-        allowed[section].update(params)
+        params = list(inspect.signature(table[name]).parameters.values())
+        for param in params[skip:]:
+            allowed[section].add(param.name)
+            if (isinstance(param.default, (int, float))
+                    and not isinstance(param.default, bool)
+                    and param.name in cfg[section]):
+                numeric.append((section, param.name))
     for section in cfg.sections():
         if section not in allowed:
             raise UsageError(f"unknown config section [{section}]")
@@ -121,6 +128,8 @@ def _check_keys(cfg: configparser.ConfigParser) -> None:
         if unknown:
             raise UsageError(
                 f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+    for section, option in numeric:
+        _parsed(section, option, _num, cfg[section][option])
 
 
 def _num(text: str) -> float:
@@ -211,15 +220,21 @@ PARSERS = {
 }
 
 
-def _get(cfg, section: str, option: str):
-    """Parsed value of [section] option, None when it is unset; a value its
-    parser rejects is a usage error that names the section and the key."""
-    if not cfg.has_option(section, option):
-        return None
+def _parsed(section: str, option: str, parse, text: str):
+    """parse(text); a value it rejects is a usage error that names the
+    section and the key."""
     try:
-        return PARSERS[section][option](cfg.get(section, option))
+        return parse(text)
     except UsageError as exc:
         raise UsageError(f"[{section}] {option}: {exc}") from exc
+
+
+def _get(cfg, section: str, option: str):
+    """Parsed value of [section] option, None when it is unset."""
+    if not cfg.has_option(section, option):
+        return None
+    return _parsed(section, option, PARSERS[section][option],
+                   cfg.get(section, option))
 
 
 def _check_values(cfg) -> None:

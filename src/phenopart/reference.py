@@ -13,9 +13,11 @@ iteration on the new time level:
   G = R(., ., I_g) - div a, the t_n part frozen, the t_{n+1} part updated
   from the current iterate
 - mutation source by the trapezoid rule in time
-- v(t_n, .) evaluated at feet by monotone cubic (PCHIP) interpolation, which
-  cannot overshoot local extrema, so non-negative data stays non-negative;
-  feet outside the grid read 0
+- v(t_n, .) evaluated at feet by our own monotone cubic, the Fritsch-Carlson
+  PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) with Moler's
+  one-sided three-point end slopes (Numerical Computing with MATLAB, 3.6);
+  it cannot overshoot local extrema, so non-negative data stays
+  non-negative; feet outside the grid read 0
 - iteration stops when the L1 update drops below
   FIXED_POINT_RTOL (1 + mass); no contraction within MAX_FIXED_POINT_ITER
   iterations halves the sub-interval, and sub-intervals below MIN_DT abort
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .discretize import InitialDensity
 from .model import Kernel, ModelSpec, pair_sum
@@ -100,15 +101,65 @@ class ReferenceSolution:
     def value_at(self, points) -> np.ndarray:
         """Interpolated final-time values; NaN outside the grid."""
         if self._interp is None:
-            self._interp = _monotone_interpolant(self.x, self.v)
+            self._interp = PchipInterpolator(self.x, self.v)
         return self._interp(np.asarray(points, dtype=float).reshape(-1))
 
 
-def _monotone_interpolant(x: np.ndarray, v: np.ndarray) -> PchipInterpolator:
-    # flat stretches trip a harmless divide-by-zero inside the slope
-    # harmonic mean; silence it locally
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return PchipInterpolator(x, v, extrapolate=False)
+def _end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope at an end node, clipped to keep
+    the shape: zero against the end secant's sign, at most 3 m0 where the
+    data turn."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class PchipInterpolator:
+    """Monotone piecewise cubic Hermite interpolant of v on the strictly
+    increasing nodes x (at least two).
+
+    Fritsch-Carlson slopes: the weighted harmonic mean of the two secants,
+    zero where they differ in sign or either is flat, and `_end_slope` at
+    both ends.  The cubic of interval k is written in s = p - x[k] and
+    summed in the order scipy's PchipInterpolator uses, so the values
+    agree with it bit for bit.  Points outside [x[0], x[-1]] read NaN.
+    """
+
+    def __init__(self, x: np.ndarray, v: np.ndarray):
+        if not np.all(np.isfinite(v)):
+            raise ValueError("PCHIP data must be finite")
+        h = np.diff(x)
+        m = np.diff(v) / h
+        d = np.empty_like(v)
+        if x.size == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            sign = np.sign(m)
+            zero = sign[1:] * sign[:-1] <= 0   # a turn or a flat secant
+            # the mean divides by zero at flat secants, which `zero` masks
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(zero, 0.0, 1.0 / whmean)
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x = x
+        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + v[:-1])
+
+    def __call__(self, points) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        x = self.x
+        k = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+        s = p - x[k]
+        ss = s * s
+        c0, c1, c2, c3 = (c[k] for c in self._c)
+        out = ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+        return np.where((p >= x[0]) & (p <= x[-1]), out, np.nan)
 
 
 def _flow_rhs(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
@@ -232,8 +283,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
                 f"(reached {Dt:g} at t={t:.6g})")
         n_sub = _substeps(Dt)
         feet = _rk4_flow(model, x, t + Dt, t, n_sub)  # backward feet
-        interp = _monotone_interpolant(x, vn)
-        base = interp(feet)
+        base = PchipInterpolator(x, vn)(feet)
         base = np.where(np.isnan(base), 0.0, base)
         G0 = G_of(t, feet, wvn)
         S0 = source_at(t, feet, wvn) if has_mut else None

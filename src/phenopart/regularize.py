@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from .discretize import ParticleEnsemble
 from .model import as_points, pair_sum
@@ -136,12 +135,15 @@ def verify_moments(phi: CutoffSpec, r: int | None = None) -> MomentReport:
     1 <= alpha <= r - 1.  Product-form extension to d dimensions preserves
     these moment identities, so the 1D check covers all dimensions.
     """
+    # scipy.integrate is slow to import and nothing else reads it
+    from scipy import integrate
+
     r = r or phi.r_order
     pts = sorted(set((-phi.radius, phi.radius) + tuple(phi.breakpoints)))
     inner = [p for p in pts if -phi.radius < p < phi.radius]
     moments = []
     for alpha in range(r):
-        val, _err = _sci_integrate.quad(
+        val, _err = integrate.quad(
             lambda u, a=alpha: u ** a * float(phi.profile(np.array([u]))[0]),
             -phi.radius, phi.radius, points=inner or None, limit=200,
             epsabs=1e-13, epsrel=1e-13)

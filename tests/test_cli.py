@@ -339,6 +339,12 @@ class TestExitCodes:
         ("simulate", "[model]\nname = twotrait2d\n"
          "a1 = x1 - x1**3 + (-8)**(1/3)\n[initial]\nprofile = bump-pair\n",
          {}, "bad [model] section"),
+        # builder parameters with a numeric default, also where the
+        # command builds no model
+        ("reproduce", "", {"MODEL__R0": "abc", "REPRODUCE__N": "10",
+                           "TIME__T_FINAL": "0.01"}, "[model] r0"),
+        ("simulate", SIM_CFG.replace("one-minus-x", "bump\nwidth = 1/0"),
+         {}, "[initial] width"),
     ], ids=["reproduce-n-zero", "reproduce-n-fraction",
             "reproduce-t_final-negative", "h-negative", "t_final-negative",
             "t_final-inf", "t_final-nan", "dt-zero", "eps_q-above-one", "oracle-empty-box",
@@ -348,7 +354,8 @@ class TestExitCodes:
             "unread-floor-negative", "unread-n_list-fraction",
             "unread-oracle-dx-negative", "unread-reproduce-n-zero",
             "unread-h_list-increasing", "unread-eps_q-above-one",
-            "complex-constant-law"])
+            "complex-constant-law", "unread-model-param-not-a-number",
+            "profile-param-not-finite"])
     def test_bad_value(self, tmp_path, capsys, monkeypatch, command, text,
                        env, word):
         """A bad value of a known key, or a model the grid reference cannot

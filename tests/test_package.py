@@ -53,3 +53,22 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    """The CLI and the grid reference need no scipy: a small `simulate`
+    with the oracle on leaves every scipy module unloaded."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[discretize]\nh = 1/20\n[time]\nt_final = 0.02\n"
+                   "dt = 1e-2\n[oracle]\nenabled = true\ndx = 1/50\n"
+                   "dt = 1e-2\n")
+    code = (
+        "import sys, phenopart, phenopart.cli\n"
+        f"code = phenopart.cli.main(['simulate', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(pp.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import phenopart as pp
 from phenopart import reference
-from phenopart.reference import _support_weights
+from phenopart.reference import PchipInterpolator, _support_weights
 
 LOGISTIC_RHO_5 = 0.9933071490757153
 # logistic flow of x' = x(1-x): 1 / (1 + e^-2)
@@ -176,3 +178,65 @@ class TestSupportWeights:
 
     def test_boundary_touching_run(self):
         assert self.total([1.0, 1.0, 0.0, 0.0]) == pytest.approx(self.dx)
+
+
+def _pchip_case(kind):
+    """Nodes, data and query points of one differential case."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    x = -0.25 + 1e-3 * np.arange(1501)
+    if kind == "random":
+        x = np.cumsum(rng.uniform(0.1, 2.0, 300))
+        v = rng.normal(size=300)
+    elif kind == "flat":
+        v = np.where(rng.uniform(size=x.size) < 0.5, 0.0,
+                     rng.integers(0, 3, x.size).astype(float))
+    elif kind == "sign-changing":
+        v = np.round(np.sin(37.0 * x), 2)
+        # both clips of the end slope: to 3 m0 where the data turn, and to
+        # zero against the end secant's sign
+        v[:3] = [0.0, 0.01, -0.09]
+        v[-3:] = [0.5, 0.1, 0.0]
+    elif kind == "two-node":
+        x, v = np.array([0.5, 2.0]), np.array([3.0, -1.0])
+    else:  # signed zeros; on a falling, bending stretch every term of
+        # the cubic at a -0.0 node is -0.0, and scipy's sum reads +0.0
+        v = np.where(rng.uniform(size=x.size) < 0.5, -0.0,
+                     rng.uniform(-1.0, 1.0, x.size))
+        v[::7] = 0.0
+        v[100:104] = [0.16, -0.0, -0.23, -0.64]
+    lo, hi = x[0], x[-1]
+    p = np.concatenate([
+        rng.uniform(lo, hi, 4000), x, 0.5 * (x[:-1] + x[1:]),
+        [lo, hi, np.nan, np.nan],
+        [lo - 1e-12, hi + 1e-12, np.nextafter(lo, -np.inf),
+         np.nextafter(hi, np.inf), lo - 1.0, hi + 1.0]])
+    return x, v, p
+
+
+class TestPchip:
+    @pytest.mark.parametrize("kind", ["random", "flat", "sign-changing",
+                                      "two-node", "signed-zeros"])
+    def test_bit_identical_to_scipy(self, kind):
+        from scipy.interpolate import PchipInterpolator as ScipyPchip
+
+        x, v, p = _pchip_case(kind)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = ScipyPchip(x, v, extrapolate=False)(p)
+        got = PchipInterpolator(x, v)(p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(data=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=24),
+           steps=st.lists(st.floats(1e-3, 10.0), min_size=23, max_size=23))
+    def test_no_overshoot(self, data, steps):
+        """Every value between two nodes lies inside the pair's range, up
+        to the rounding of the cubic's four terms (each interval is
+        monotone), so non-negative data give non-negative values."""
+        v = np.array(data)
+        x = np.concatenate([[0.0], np.cumsum(steps[:v.size - 1])])
+        frac = np.linspace(0.0, 1.0, 17)
+        p = np.minimum(x[:-1, None] + frac * np.diff(x)[:, None], x[1:, None])
+        got = PchipInterpolator(x, v)(p.ravel()).reshape(p.shape)
+        lo = np.minimum(v[:-1], v[1:])[:, None]
+        hi = np.maximum(v[:-1], v[1:])[:, None]
+        slack = 1e-14 * hi
+        assert np.all((got >= lo - slack) & (got <= hi + slack))
