@@ -25,12 +25,11 @@ from .discretize import (DiscretizationError, InitialDensity, MutationCheck,
                          check_spacing, check_mutation_discretization,
                          partition_support)
 from .dynamics import (IntegrationError, MonitorReport, RunConfig, Trajectory,
-                       default_dt, integrate, rhs)
+                       default_dt, integrate)
 from .model import (MODELS, Box, EvaluationError, Kernel, ModelSpec,
                     ValidationEntry, ValidationReport, build_model,
-                    constant_kernel, eval_divergence, eval_nonlocal,
-                    eval_velocity, moment_kernel,
-                    pair_sum, validate_model)
+                    constant_kernel, moment_kernel, pair_sum,
+                    validate_model)
 from .reference import (OracleError, ReferenceConfig, ReferenceSolution,
                         characteristics, l1_distance, refine_until_stable,
                         solve_reference)

@@ -83,10 +83,6 @@ class FitResult:
     max_residual: float
     pairs: tuple
 
-    def __iter__(self):
-        yield self.order
-        yield self.intercept
-
 
 def fit_convergence_order(pairs: Sequence) -> FitResult:
     """Least-squares slope of log error against log h.
@@ -251,7 +247,7 @@ def check_dirac_necessary_conditions(model: ModelSpec, clusters) -> list:
     the advection must vanish at the center, the growth must vanish there
     under the limit measure's own non-local input, and mutation into any
     point of the support must vanish (sampled at 128 points of the padded
-    support box).
+    support box, drawn only for a model with mutation).
     """
     clusters = list(clusters)
     if not clusters:
@@ -260,9 +256,9 @@ def check_dirac_necessary_conditions(model: ModelSpec, clusters) -> list:
                         for c, _m in clusters])
     masses = np.array([float(m) for _c, m in clusters])
 
+    if model.mutation is not None:
+        X_samples = active_box(model, 0.0).expand(0.5).sample(128, seed=3)
     out = []
-    box = active_box(model, 0.0).expand(0.5)
-    X_samples = box.sample(128, seed=3)
     for k in range(centers.shape[0]):
         c = centers[k:k + 1]
         I_a = advection_inputs(model, 0.0, c, centers, masses)
@@ -298,13 +294,12 @@ def default_test_functions(lo: float, hi: float, count: int = 7):
     ]
 
 
-def weak_measure_gap(ens: ParticleEnsemble, oracle: ReferenceSolution,
-                     tests: Optional[list] = None) -> float:
-    """max_k |sum_i alpha_i phi_k(x_i) - int phi_k v_oracle| over the family."""
+def weak_measure_gap(ens: ParticleEnsemble, oracle: ReferenceSolution) -> float:
+    """max_k |sum_i alpha_i phi_k(x_i) - int phi_k v_oracle| over the
+    default family on the oracle grid."""
     if ens.dim != 1:
         raise AnalysisError("weak measure gap compares against 1D oracles")
-    if tests is None:
-        tests = default_test_functions(float(oracle.x[0]), float(oracle.x[-1]))
+    tests = default_test_functions(float(oracle.x[0]), float(oracle.x[-1]))
     alpha = ens.alpha()
     pos = ens.positions[:, 0]
     gap = 0.0
@@ -379,18 +374,17 @@ class APReport:
     detail: str
 
 
-def ap_verdict(gaps: Sequence, floor: float = 1e-2) -> APReport:
+def ap_verdict(gaps: dict, floor: float = 1e-2) -> APReport:
     """Decide whether refinement drives the weak gap to zero.
 
     preserving: the gap at the finest h (at least 4x finer than the
     coarsest) is at most half the coarsest gap.  non_preserving: every gap
     stays at or above `floor`.  Anything else: inconclusive.
 
-    `gaps` is an iterable of (h, gap) pairs or a {h: gap} mapping.
+    `gaps` maps each h to its gap.
     """
-    if isinstance(gaps, dict):
-        gaps = gaps.items()
-    pairs = sorted(((float(h), float(g)) for h, g in gaps), reverse=True)
+    pairs = sorted(((float(h), float(g)) for h, g in gaps.items()),
+                   reverse=True)
     if len(pairs) < 2:
         raise AnalysisError("verdict needs gaps at >= 2 resolutions")
     h0, g0 = pairs[0]

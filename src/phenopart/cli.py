@@ -101,35 +101,45 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
+# the key of [model] and [initial] that names the builder, the builders,
+# and how many leading builder parameters are not config keys
+BUILDERS = {"model": ("name", MODELS, 1), "initial": ("profile", PROFILES, 0)}
+
+
+def _unknown_keys(section: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise UsageError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+
+
+def _builder_args(cfg, section: str) -> tuple:
+    """Builder name and keyword arguments of [section], whose keys are the
+    builder's parameters: one whose default is a number parses as one, any
+    other is passed as its text."""
+    key, table, skip = BUILDERS[section]
+    name = cfg[section][key]
+    if name not in table:
+        raise UsageError(f"unknown [{section}] {key} {name!r}; "
+                         f"known: {', '.join(sorted(table))}")
+    params = list(inspect.signature(table[name]).parameters.values())[skip:]
+    numeric = {p.name: isinstance(p.default, (int, float))
+               and not isinstance(p.default, bool) for p in params}
+    args = {k: v for k, v in cfg[section].items() if k != key}
+    _unknown_keys(section, args, numeric)
+    return name, {k: _parsed(section, k, _num, v) if numeric[k] else v
+                  for k, v in args.items()}
+
+
 def _check_keys(cfg: configparser.ConfigParser) -> None:
-    """Reject sections and keys that no command reads; [model] and [initial]
-    take the parameters of the chosen builder, and those whose default is a
-    number must parse as one."""
-    allowed = {s: set(v) for s, v in PARSERS.items()}
-    allowed.update(model={"name"}, initial={"profile"})
-    numeric = []
-    for section, key, table, skip in (("model", "name", MODELS, 1),
-                                      ("initial", "profile", PROFILES, 0)):
-        name = cfg[section][key]
-        if name not in table:
-            raise UsageError(f"unknown [{section}] {key} {name!r}; "
-                             f"known: {', '.join(sorted(table))}")
-        params = list(inspect.signature(table[name]).parameters.values())
-        for param in params[skip:]:
-            allowed[section].add(param.name)
-            if (isinstance(param.default, (int, float))
-                    and not isinstance(param.default, bool)
-                    and param.name in cfg[section]):
-                numeric.append((section, param.name))
+    """Reject sections and keys that no command reads, and builder
+    arguments that do not parse."""
     for section in cfg.sections():
-        if section not in allowed:
+        if section in BUILDERS:
+            _builder_args(cfg, section)
+        elif section in PARSERS:
+            _unknown_keys(section, cfg[section], PARSERS[section])
+        else:
             raise UsageError(f"unknown config section [{section}]")
-        unknown = sorted(set(cfg[section]) - allowed[section])
-        if unknown:
-            raise UsageError(
-                f"unknown key(s) in [{section}]: {', '.join(unknown)}")
-    for section, option in numeric:
-        _parsed(section, option, _num, cfg[section][option])
 
 
 def _num(text: str) -> float:
@@ -260,28 +270,17 @@ def _checked(where: str, build, *args, **kwargs):
         raise UsageError(f"{where} {exc}") from exc
 
 
-def _maybe_num(text: str):
-    try:
-        return _num(text)
-    except UsageError:
-        return text
-
-
 def build_objects(cfg: configparser.ConfigParser):
     """Profile, model, cutoff from the resolved config."""
-    init = dict(cfg["initial"]) if cfg.has_section("initial") else {}
-    name = init.pop("profile", "one-minus-x")
+    name, kwargs = _builder_args(cfg, "initial")
     try:
-        profile = build_profile(name, **{k: _maybe_num(v)
-                                         for k, v in init.items()})
+        profile = build_profile(name, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad [initial] section: {exc}") from exc
 
-    mod = dict(cfg["model"]) if cfg.has_section("model") else {}
-    mname = mod.pop("name", "advsel1d")
+    name, kwargs = _builder_args(cfg, "model")
     try:
-        model = build_model(mname, profile.support,
-                            **{k: _maybe_num(v) for k, v in mod.items()})
+        model = build_model(name, profile.support, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad [model] section: {exc}") from exc
 

@@ -56,7 +56,6 @@ __all__ = [
     "RunConfig",
     "MonitorReport",
     "Trajectory",
-    "rhs",
     "integrate",
     "default_dt",
 ]
@@ -78,11 +77,10 @@ def default_dt(h: float, a_sup: float) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Integration window and bookkeeping knobs."""
+    """Integration window; a run keeps about 40 snapshots."""
 
     t_final: float
     dt: Optional[float] = None          # None: default_dt(h, a_sup)
-    snapshot_every: Optional[int] = None  # None: ~40 snapshots over the run
 
     def __post_init__(self):
         if self.t_final < 0:
@@ -172,18 +170,6 @@ def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray,
     return K
 
 
-def rhs(model: ModelSpec, ens: ParticleEnsemble):
-    """Right-hand side (dx, dw, dnu) of the particle system at ens.time.
-
-    Mutation rows are pruned with zero padding (T = 0): exactly the particles
-    currently inside supp_x m receive influx, which is the T -> 0 limit of
-    the integrator's fixed row set.
-    """
-    K = _stage_rhs(model, ens.time, _pack(ens),
-                   _mutation_rows(model, ens, 0.0))
-    return _points(K), K[-2], K[-1]
-
-
 def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Trajectory:
     """Fixed-step RK4 on the particle system with runtime monitors.
 
@@ -198,7 +184,7 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     dt = cfg.dt if cfg.dt is not None else default_dt(ens0.h, model.a_sup)
     n_steps = 0 if T == 0.0 else max(1, int(math.ceil(T / dt - 1e-9)))
     dt = T / n_steps if n_steps else dt
-    snap_every = cfg.snapshot_every or max(1, n_steps // 40)
+    snap_every = max(1, n_steps // 40)
 
     d = ens0.dim
     S = _pack(ens0)

@@ -64,9 +64,6 @@ __all__ = [
     "advection_inputs",
     "velocity_field",
     "divergence_field",
-    "eval_nonlocal",
-    "eval_velocity",
-    "eval_divergence",
     "validate_model",
     "build_model",
     "MODELS",
@@ -349,59 +346,6 @@ def divergence_field(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     return div
 
 
-def _ens_arrays(ens):
-    Y = ens.positions
-    alpha = ens.intensities * ens.volumes
-    return Y, alpha
-
-
-def _kernel_by_id(model: ModelSpec, kernel_id):
-    kernels = {"g": model.kernel_g, "d": model.kernel_d}
-    kernels.update((f"a{k}", ker) for k, ker in enumerate(model.kernels_a))
-    if kernel_id not in kernels:
-        raise KeyError(f"unknown kernel id {kernel_id!r}")
-    if kernels[kernel_id] is None:
-        raise KeyError("model has no mutation kernel")
-    return kernels[kernel_id]
-
-
-def eval_nonlocal(model: ModelSpec, kernel_id, t: float, x, ens) -> float:
-    """One kernel average I_l(t, x) against the ensemble's weighted sum.
-
-    kernel_id: "g", "d", or "a<k>" (advection kernel k).
-    """
-    kernel = _kernel_by_id(model, kernel_id)
-    X = as_points(x, model.dim)
-    Y, alpha = _ens_arrays(ens)
-    out = nonlocal_field(kernel, t, X, Y, alpha)
-    if not np.all(np.isfinite(out)):
-        vals = np.asarray(kernel.func(t, X, Y))
-        bad = np.argwhere(~np.isfinite(vals))
-        j = int(bad[0][1]) if bad.size else -1
-        raise EvaluationError(
-            f"kernel {kernel.name} produced a non-finite value at particle {j}")
-    return float(out[0])
-
-
-def eval_velocity(model: ModelSpec, t: float, x, ens) -> np.ndarray:
-    X = as_points(x, model.dim)
-    Y, alpha = _ens_arrays(ens)
-    A = velocity_field(model, t, X, advection_inputs(model, t, X, Y, alpha))
-    if not np.all(np.isfinite(A)):
-        raise EvaluationError("advection produced a non-finite velocity")
-    return A[0]
-
-
-def eval_divergence(model: ModelSpec, t: float, x, ens) -> float:
-    X = as_points(x, model.dim)
-    Y, alpha = _ens_arrays(ens)
-    div = divergence_field(model, t, X, Y, alpha,
-                           advection_inputs(model, t, X, Y, alpha))
-    if not np.all(np.isfinite(div)):
-        raise EvaluationError("divergence produced a non-finite value")
-    return float(div[0])
-
-
 # ---------------------------------------------------------------------------
 # hypothesis validation by sampling
 
@@ -632,7 +576,10 @@ def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> Mo
     constant advection kernel makes it non-local, and since that kernel has
     zero x-gradient the chain-rule divergence term is exactly zero, so the
     model declares no dA/dI.  The non-local input still feeds the velocity.
+    The speed |drift0 - I| is bounded over the saturation range
+    0 <= I <= I_star by max(|drift0|, |drift0 - I_star|).
     """
+    I_star = r0 + 0.5
 
     def advection(t, X, I):
         return drift0 - I[:, :1]
@@ -648,8 +595,8 @@ def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> Mo
         advection=advection, advection_div_x=advection_div_x,
         growth=growth,
         kernels_a=(constant_kernel(1.0),), kernel_g=constant_kernel(1.0),
-        support_v0=support_v0, a_sup=max(abs(drift0), 1.0),
-        I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0,
+        support_v0=support_v0, a_sup=max(abs(drift0), abs(drift0 - I_star)),
+        I_star=I_star, r_star=0.25, psi_g_min=1.0,
     )
 
 
@@ -677,7 +624,11 @@ def build_twotrait2d(support_v0: Box,
 
     def advection(t, X, I):
         env = (t, X[:, 0], X[:, 1], I[:, 0], I[:, 1])
-        return np.stack([f1(*env), f2(*env)], axis=1)
+        # a column write broadcasts a law that folded to a constant
+        A = np.empty(X.shape)
+        A[:, 0] = f1(*env)
+        A[:, 1] = f2(*env)
+        return A
 
     def advection_div_x(t, X, I):
         env = (t, X[:, 0], X[:, 1], I[:, 0], I[:, 1])

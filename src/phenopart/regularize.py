@@ -12,8 +12,8 @@ and projects a function v onto the same particle supports via
 The reconstruction error splits into a smoothing part eps^r and a quadrature
 part (h/eps)^kappa (+ h^kappa), with kappa the convergence order of the
 particle flow.  Balancing the two parts gives the bandwidth rule
-eps(h) = h^{kappa/(kappa+r)}; `epsilon_rule` takes kappa and r as
-arguments (or the exponent q directly).
+eps(h) = h^{kappa/(kappa+r)}, which is how the exponent q of
+`epsilon_rule`, eps = h^q, is chosen.
 
 Cutoffs are product-form in d dimensions: phi(x) = prod_k profile(x_k).
 All profiles have compact support (the analytic Gaussian is hard-zeroed
@@ -226,21 +226,14 @@ def project(v, ens: ParticleEnsemble, phi: CutoffSpec, eps: float,
     return _kernel_sum(pts, ens.positions, ens.volumes * vals, phi, eps)
 
 
-def epsilon_rule(h: float, q: float | None = None, kappa: int | None = None,
-                 r: int | None = None) -> float:
-    """Bandwidth eps = h^q; q given directly or balanced as kappa/(kappa+r).
+def epsilon_rule(h: float, q: float) -> float:
+    """Bandwidth eps = h^q with 0 < q < 1.
 
-    The balanced exponent equates the smoothing error eps^r with the
-    quadrature error (h/eps)^kappa.
+    The balanced exponent q = kappa/(kappa+r) equates the smoothing error
+    eps^r with the quadrature error (h/eps)^kappa.
     """
     if h <= 0 or h >= 1:
         raise ValueError("epsilon rule expects 0 < h < 1")
-    if q is None:
-        if kappa is None or r is None:
-            raise ValueError("give either q or both kappa and r")
-        if kappa < 1 or r < 1:
-            raise ValueError("kappa and r must be >= 1")
-        q = kappa / (kappa + r)
     if not 0.0 < q < 1.0:
         raise ValueError(f"exponent q={q} outside (0, 1)")
     return float(h) ** q

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import phenopart as pp
+from phenopart.model import advection_inputs, divergence_field, velocity_field
 
 settings.register_profile(
     "deterministic",
@@ -33,6 +34,15 @@ def make_ensemble(n, seed=0, dim=1, h=None):
     return pp.ParticleEnsemble(
         time=0.0, positions=positions, volumes=volumes,
         intensities=intensities, h=h if h is not None else 1.0 / n)
+
+
+def velocity_and_divergence(model, X, ens, t=0.0):
+    """Velocity (n, d) and divergence (n,) at the rows of X against the
+    ensemble, through the field evaluators an RK4 stage calls."""
+    Y, alpha = ens.positions, ens.alpha()
+    I = advection_inputs(model, t, X, Y, alpha)
+    return (velocity_field(model, t, X, I),
+            divergence_field(model, t, X, Y, alpha, I))
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 """Order fits, cluster detection, limit predictions, preservation verdicts."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +18,8 @@ class TestOrderFit:
             fit = pp.fit_convergence_order([(h, 3.0 * h ** p) for h in hs])
             assert fit.order == pytest.approx(p, abs=1e-12)
             assert fit.max_residual < 1e-12
-        order, _intercept = pp.fit_convergence_order(
-            [(h, h ** 2) for h in hs])
-        assert order == pytest.approx(2.0, abs=1e-12)
+        fit = pp.fit_convergence_order([(h, h ** 2) for h in hs])
+        assert fit.order == pytest.approx(2.0, abs=1e-12)
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(pp.AnalysisError, match="at least 3"):
@@ -61,8 +63,7 @@ def test_single_cluster_detection_and_residuals():
     prof = pp.build_profile("const6")
     model = pp.build_model("advsel1d", prof.support, r0=6.0, r1=0.5)
     ens = pp.partition_support(prof, model, 1 / 200, T=30.0)
-    traj = pp.integrate(model, ens, pp.RunConfig(t_final=30.0, dt=2e-3,
-                                                 snapshot_every=10 ** 9))
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=30.0, dt=2e-3))
     rep = pp.detect_limit_clusters(traj)
     assert rep.conclusive
     assert len(rep.clusters) == 1
@@ -110,8 +111,7 @@ def test_two_basins_two_clusters():
         support_v0=sup, a_sup=1.0, I_star=1.5, r_star=0.25)
     prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
     ens = pp.partition_support(prof, model, 1 / 20, T=20.0)
-    traj = pp.integrate(model, ens, pp.RunConfig(t_final=20.0, dt=1e-3,
-                                                 snapshot_every=10 ** 9))
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=20.0, dt=1e-3))
     rep = pp.detect_limit_clusters(traj)
     assert rep.conclusive
     assert len(rep.clusters) == 2
@@ -146,8 +146,7 @@ def test_four_basins_four_clusters_in_2d():
                              support=sup)
     # pos_tol = 10 h = 0.625 links each corner but no two of them
     ens = pp.partition_support(prof, model, 1 / 16, T=4.0)
-    traj = pp.integrate(model, ens, pp.RunConfig(t_final=4.0, dt=1e-3,
-                                                 snapshot_every=10 ** 9))
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=4.0, dt=1e-3))
     rep = pp.detect_limit_clusters(traj)
     assert rep.conclusive
     assert len(rep.clusters) == 4
@@ -158,6 +157,39 @@ def test_four_basins_four_clusters_in_2d():
         assert mass == pytest.approx(0.25, rel=1e-6)
     assert sum(m for _c, m in rep.clusters) == pytest.approx(
         rep.total_mass, rel=1e-12)
+
+
+def test_dirac_conditions_without_mutation_leave_scipy_stats_unloaded():
+    """Only the mutation residual reads the Sobol sample of `Box.sample`,
+    so a model without mutation must not pay the scipy.stats import."""
+    code = ("import sys, numpy as np, phenopart as pp\n"
+            "prof = pp.build_profile('const6')\n"
+            "model = pp.build_model('advsel1d', prof.support, r0=6.0, r1=0.5)\n"
+            "res = pp.check_dirac_necessary_conditions(\n"
+            "    model, [(np.array([1.0]), 5.5)])\n"
+            "assert res[0].mutation_residual == 0.0\n"
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(pp.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_dirac_conditions_sample_the_mutation():
+    """With mutation, the residual is sup |m(x, c, 0)| over the 128 Sobol
+    points of the padded support box."""
+    sup = pp.Box([0.0], [1.0])
+    base = pp.build_model("advsel1d", sup)
+    model = dataclasses.replace(
+        base, mutation=lambda t, X, Y, I: np.exp(-(X[:, :1] - Y[:, 0]) ** 2),
+        kernel_d=pp.constant_kernel(1.0), support_m_x=sup, support_m_y=sup,
+        M_bar=1.0)
+    center = np.array([0.5])
+    res = pp.check_dirac_necessary_conditions(model, [(center, 1.0)])
+    X = pp.active_box(model, 0.0).expand(0.5).sample(128, seed=3)
+    expected = float(np.max(np.exp(-(X[:, 0] - 0.5) ** 2)))
+    assert res[0].mutation_residual == expected
+    assert res[0].mutation_residual > 0.9
 
 
 class TestLimitMassPrediction:
@@ -188,8 +220,7 @@ class TestLimitMassPrediction:
 
 class TestVerdict:
     def test_preserving(self):
-        rep = pp.ap_verdict([(1 / 100, 0.1), (1 / 200, 0.07),
-                             (1 / 400, 0.04)])
+        rep = pp.ap_verdict({1 / 100: 0.1, 1 / 200: 0.07, 1 / 400: 0.04})
         assert rep.verdict == "preserving"
 
     def test_non_preserving(self):
@@ -198,12 +229,12 @@ class TestVerdict:
         assert "stagnates" in rep.detail
 
     def test_inconclusive(self):
-        rep = pp.ap_verdict([(1 / 100, 5e-3), (1 / 400, 4e-3)])
+        rep = pp.ap_verdict({1 / 100: 5e-3, 1 / 400: 4e-3})
         assert rep.verdict == "inconclusive"
 
     def test_needs_two_levels(self):
         with pytest.raises(pp.AnalysisError):
-            pp.ap_verdict([(0.01, 0.5)])
+            pp.ap_verdict({0.01: 0.5})
 
 
 def test_weak_gap_vanishes_at_matching_data(advsel_profile, advsel_model):

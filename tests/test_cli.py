@@ -212,6 +212,26 @@ def test_env_override(tmp_path, monkeypatch):
     assert rep["n_particles"] == "20"
 
 
+def _csv_column(path, name, t=None):
+    """One column of a CSV artifact as text; rows at time t when given."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[name] for row in csv.DictReader(fh)
+                if t is None or row["t"] == t]
+
+
+def test_constant_twotrait_law_runs(tmp_path, monkeypatch):
+    """A config law that folds to a constant is passed as text, not as a
+    number, and a2 = 0 holds every x2 at its initial value."""
+    monkeypatch.setenv("PHENOPART_MODEL__A2", "0")
+    out = str(tmp_path / "pair")
+    cfg = os.path.join(CONFIG_DIR, "friedman_pair.cfg")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    final = _csv_column(os.path.join(out, "final.csv"), "x1")
+    initial = _csv_column(os.path.join(out, "snapshots.csv"), "x1", t="0.0")
+    assert len(final) > 0
+    assert final == initial
+
+
 def test_reproduce_scaled_down(tmp_path, monkeypatch):
     monkeypatch.setenv("PHENOPART_REPRODUCE__N", "30")
     monkeypatch.setenv("PHENOPART_REPRODUCE__T_FINAL", "0.5")

@@ -44,18 +44,17 @@ def test_linear_advection_closed_forms():
 
 
 def test_rk4_matches_scipy_reference(advsel_profile, advsel_model):
-    """Same right-hand side handed to an adaptive high-accuracy integrator."""
+    """The advsel particle system, a = x(1-x) and R = 6 - 4x - mass, written
+    out by hand and handed to an adaptive high-accuracy integrator."""
     ens = pp.partition_support(advsel_profile, advsel_model, 1 / 16, T=0.5)
     n, d = ens.n, ens.dim
 
     def packed_rhs(t, y):
-        x = y[:n * d].reshape(n, d)
-        w = y[n * d:n * d + n]
-        nu = y[n * d + n:]
-        state = pp.ParticleEnsemble(time=t, positions=x, volumes=w,
-                                    intensities=nu, h=ens.h)
-        dx, dw, dnu = pp.rhs(advsel_model, state)
-        return np.concatenate([dx.ravel(), dw, dnu])
+        x, w, nu = y[:n], y[n:2 * n], y[2 * n:]
+        div = 1.0 - 2.0 * x
+        mass = np.sum(nu * w)
+        return np.concatenate([x * (1.0 - x), div * w,
+                               (6.0 - 4.0 * x - mass - div) * nu])
 
     y0 = np.concatenate([ens.positions.ravel(), ens.volumes,
                          ens.intensities])
@@ -236,13 +235,15 @@ class TestBookkeeping:
         assert traj.monitors.support_excess_max == 0.0
 
     def test_snapshot_cadence(self, advsel_profile, advsel_model):
-        ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=0.1)
+        """About 40 snapshots: every 130 // 40 = 3 steps, and the last."""
+        ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=1.3)
         traj = pp.integrate(advsel_model, ens,
-                            pp.RunConfig(t_final=0.1, dt=0.01,
-                                         snapshot_every=5))
-        assert traj.n_steps == 10
-        assert [s.time for s in traj.snapshots] == pytest.approx(
-            [0.0, 0.05, 0.1])
+                            pp.RunConfig(t_final=1.3, dt=0.01))
+        assert traj.n_steps == 130
+        times = [s.time for s in traj.snapshots]
+        assert len(times) == 45
+        assert times[:3] == pytest.approx([0.0, 0.03, 0.06])
+        assert times[-2:] == pytest.approx([1.29, 1.3])
 
     def test_default_dt_respects_cell_crossing(self):
         assert pp.default_dt(1.0, 0.0) == 1e-3
@@ -338,14 +339,15 @@ def _case(name):
                                   "mutation"])
 def test_step_loop_matches_reference_bitwise(name):
     prof, model, h = _case(name)
-    T, dt = 0.2, 4e-3
+    # 130 steps: a snapshot every 3 steps, and the last off that cadence
+    T, dt = 0.52, 4e-3
     ens = pp.partition_support(prof, model, h, T=T)
-    traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=dt,
-                                                 snapshot_every=7))
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=dt))
+    assert traj.n_steps == 130
     if name == "mutation":
         assert 0 < dynamics._mutation_rows(model, ens, T).size < ens.n
     series, snapshots, support_excess = _reference_steps(
-        model, ens, traj.dt, traj.n_steps, 7)
+        model, ens, traj.dt, traj.n_steps, 3)
     assert [col.tobytes() for col in traj.series.values()] == \
         [col.tobytes() for col in series]
     assert len(traj.snapshots) == len(snapshots)

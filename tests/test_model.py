@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import phenopart as pp
 from phenopart.model import nonlocal_field
 
-from conftest import make_ensemble
+from conftest import make_ensemble, velocity_and_divergence
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +47,6 @@ def test_function_kernel_matches_loop(random_ensemble):
         assert row == pytest.approx(direct, rel=1e-12)
 
 
-def test_eval_nonlocal_selects_kernels(advsel_model, random_ensemble):
-    ens = random_ensemble
-    total = float(np.sum(ens.alpha()))
-    # growth kernel is constant 1: the field is the total intensity
-    val = pp.eval_nonlocal(advsel_model, "g", 0.0, [0.5], ens)
-    assert val == pytest.approx(total, rel=1e-13)
-
-
 def _mutation_model(**overrides):
     support = pp.Box([0.0], [1.0])
     parts = dict(
@@ -69,27 +61,6 @@ def _mutation_model(**overrides):
         support_m_x=support, support_m_y=support)
     parts.update(overrides)
     return pp.ModelSpec(**parts)
-
-
-def test_eval_nonlocal_kernel_ids(random_ensemble):
-    ens = random_ensemble
-    alpha = ens.alpha()
-    total = float(np.sum(alpha))
-    model = _mutation_model()
-    expected = {"g": total, "d": 3.0 * total, "a0": 2.0 * total,
-                "a1": float(np.sum(alpha * ens.positions[:, 0]))}
-    for kernel_id, value in expected.items():
-        got = pp.eval_nonlocal(model, kernel_id, 0.0, [0.5], ens)
-        assert got == pytest.approx(value, rel=1e-13), kernel_id
-    for kernel_id in ("a", ("a", 0), "a2", "x", "G"):
-        with pytest.raises(KeyError, match="unknown kernel id"):
-            pp.eval_nonlocal(model, kernel_id, 0.0, [0.5], ens)
-
-
-def test_eval_nonlocal_without_mutation_kernel(advsel_model,
-                                               random_ensemble):
-    with pytest.raises(KeyError, match="no mutation kernel"):
-        pp.eval_nonlocal(advsel_model, "d", 0.0, [0.5], random_ensemble)
 
 
 @pytest.mark.parametrize("with_mutation", [True, False])
@@ -111,7 +82,9 @@ def test_mutation_declaration_must_be_complete(with_mutation, declared):
             _mutation_model(**overrides)
 
 
-def test_eval_nonlocal_rejects_nonfinite(random_ensemble):
+def test_integrate_rejects_nonfinite_kernel(random_ensemble):
+    """A growth kernel that is NaN at some particles makes the growth
+    input NaN; the step's finiteness check names a particle."""
     ens = random_ensemble
     bad = pp.Kernel(
         name="poisoned",
@@ -121,11 +94,11 @@ def test_eval_nonlocal_rejects_nonfinite(random_ensemble):
         name="bad", dim=1,
         advection=lambda t, X, I: np.zeros_like(X),
         advection_div_x=lambda t, X, I: np.zeros(X.shape[0]),
-        growth=lambda t, X, I: np.zeros(X.shape[0]),
+        growth=lambda t, X, I: 1.0 - I,
         kernels_a=(), kernel_g=bad,
         support_v0=pp.Box([0.0], [1.0]), a_sup=0.0)
-    with pytest.raises(pp.EvaluationError, match="particle"):
-        pp.eval_nonlocal(model, "g", 0.0, [0.5], ens)
+    with pytest.raises(pp.IntegrationError, match="particle"):
+        pp.integrate(model, ens, pp.RunConfig(t_final=1e-3, dt=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +129,11 @@ def test_divergence_chain_rule_against_fd(random_ensemble):
     model = _chainrule_model()
     ens = random_ensemble
     step = 1e-6
-    for xq in np.linspace(0.1, 0.9, 9):
-        div = pp.eval_divergence(model, 0.0, [xq], ens)
-        up = pp.eval_velocity(model, 0.0, [xq + step], ens)[0]
-        dn = pp.eval_velocity(model, 0.0, [xq - step], ens)[0]
-        assert div == pytest.approx((up - dn) / (2 * step), abs=1e-5)
+    xq = np.linspace(0.1, 0.9, 9)[:, None]
+    _v, div = velocity_and_divergence(model, xq, ens)
+    up = velocity_and_divergence(model, xq + step, ens)[0][:, 0]
+    dn = velocity_and_divergence(model, xq - step, ens)[0][:, 0]
+    assert div == pytest.approx((up - dn) / (2 * step), abs=1e-5)
 
 
 def _counted(func, counts, key):
@@ -170,15 +143,21 @@ def _counted(func, counts, key):
     return wrapped
 
 
+def _one_step(model, ens):
+    """One RK4 step: four stage evaluations."""
+    return pp.integrate(model, ens, pp.RunConfig(t_final=1e-3, dt=1e-3))
+
+
 def test_rhs_sums_graded_kernel_once(random_ensemble):
-    """Velocity and divergence share one evaluation of the advection inputs."""
+    """Velocity and divergence share one evaluation of the advection inputs
+    per stage."""
     model = _chainrule_model()
     counts = {"func": 0}
     psi = model.kernels_a[0]
     model.kernels_a = (dataclasses.replace(
         psi, func=_counted(psi.func, counts, "func")),)
-    pp.rhs(model, random_ensemble)
-    assert counts["func"] == 1
+    assert _one_step(model, random_ensemble).n_steps == 1
+    assert counts["func"] == 4
 
 
 def test_moment_kernels_skip_the_chain_rule_term():
@@ -191,18 +170,18 @@ def test_moment_kernels_skip_the_chain_rule_term():
     model = dataclasses.replace(
         model, advection=_counted(model.advection, counts, "advection"))
     ens = make_ensemble(40, seed=7, dim=2)
-    pp.rhs(model, ens)
-    assert counts == {"advection": 1}
+    assert _one_step(model, ens).n_steps == 1
+    assert counts == {"advection": 4}
 
     step = 1e-6
-    for xq in ([0.2, 0.7], [-0.5, 0.3], [0.9, -0.8]):
-        div = pp.eval_divergence(model, 0.0, xq, ens)
-        fd = 0.0
-        for axis, e in enumerate(step * np.eye(2)):
-            up = pp.eval_velocity(model, 0.0, np.add(xq, e), ens)[axis]
-            dn = pp.eval_velocity(model, 0.0, np.subtract(xq, e), ens)[axis]
-            fd += (up - dn) / (2 * step)
-        assert div == pytest.approx(fd, abs=1e-6)
+    xq = np.array([[0.2, 0.7], [-0.5, 0.3], [0.9, -0.8]])
+    _v, div = velocity_and_divergence(model, xq, ens)
+    fd = 0.0
+    for axis, e in enumerate(step * np.eye(2)):
+        up = velocity_and_divergence(model, xq + e, ens)[0][:, axis]
+        dn = velocity_and_divergence(model, xq - e, ens)[0][:, axis]
+        fd += (up - dn) / (2 * step)
+    assert div == pytest.approx(fd, abs=1e-6)
 
 
 def test_twotrait_divergence_is_exact():
@@ -222,6 +201,19 @@ def test_twotrait_divergence_is_exact():
         dn = model.advection(0.0, X - e, I)[:, axis]
         fd = fd + (up - dn) / (2 * step)
     np.testing.assert_allclose(div, fd, rtol=0, atol=1e-9)
+
+
+def test_twotrait_constant_law_fills_its_column():
+    """A law that folds to a constant gives one value per particle, and the
+    other column keeps the bits of its array law."""
+    box = pp.Box([-1.0, -1.0], [1.0, 1.0])
+    X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(6, 2))
+    I = np.ones((6, 2))
+    const = pp.build_model("twotrait2d", box, a2="0").advection(0.0, X, I)
+    full = pp.build_model("twotrait2d", box).advection(0.0, X, I)
+    assert const.shape == (6, 2)
+    np.testing.assert_array_equal(const[:, 1], np.zeros(6))
+    assert const[:, 0].tobytes() == full[:, 0].tobytes()
 
 
 def test_twotrait_constant_divergence_has_one_value_per_particle():
@@ -289,7 +281,7 @@ def test_mass_feeds_the_velocity_without_advection_dI(random_ensemble):
         advection_dI=None)
     assert not model.is_local
     ens = random_ensemble
-    got = pp.eval_velocity(model, 0.0, [0.5], ens)[0]
+    got = velocity_and_divergence(model, np.array([[0.5]]), ens)[0][0, 0]
     assert got == pytest.approx(2.0 - ens.mass(), rel=1e-13)
 
 
@@ -317,6 +309,19 @@ def test_validate_flags_missing_saturation():
     report = pp.validate_model(model, box)
     entry = report.entry("growth_saturation")
     assert not entry.passed
+
+
+@pytest.mark.parametrize("drift0, r0", [(-1.0, 1.0), (1.0, 4.0), (0.2, 1.0)])
+def test_nldrift_speed_bound_covers_the_saturation_range(drift0, r0):
+    """|drift0 - I| over 0 <= I <= I_star = r0 + 1/2 is what a_sup must
+    bound: no particle outruns it, and the sampler finds no faster point."""
+    prof = pp.build_profile("bump")
+    model = pp.build_model("nldrift1d", prof.support, drift0=drift0, r0=r0)
+    ens = pp.partition_support(prof, model, 1 / 100, T=1.0)
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=1.0))
+    assert traj.monitors.support_excess_max == 0.0
+    report = pp.validate_model(model, prof.support)
+    assert report.entry("speed_bound").passed, "\n".join(report.lines())
 
 
 def test_speed_bound_violation_detected(advsel_profile):

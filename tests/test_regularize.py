@@ -64,14 +64,14 @@ def test_fourth_order_kernel_has_negative_fourth_moment():
 
 class TestEpsilonRule:
     def test_balanced_exponent(self):
-        # kappa = 1, r = 2 gives q = 1/3
-        assert pp.epsilon_rule(1e-3, kappa=1, r=2) == pytest.approx(0.1)
+        # kappa = 1, r = 2 gives q = kappa / (kappa + r) = 1/3
+        assert pp.epsilon_rule(1e-3, q=1 / 3) == pytest.approx(0.1)
         assert pp.epsilon_rule(0.25, q=0.5) == pytest.approx(0.5)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             pp.epsilon_rule(2.0, q=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             pp.epsilon_rule(0.1)
         with pytest.raises(ValueError):
             pp.epsilon_rule(0.1, q=1.5)
