@@ -114,7 +114,8 @@ def _unknown_keys(section: str, keys, allowed) -> None:
 
 def _builder_args(cfg, section: str) -> tuple:
     """Builder name and keyword arguments of [section], whose keys are the
-    builder's parameters: one whose default is a number parses as one, any
+    builder's parameters: one whose default is a number parses as one, one
+    whose default is a tuple as a literal of numbers nested like it, any
     other is passed as its text."""
     key, table, skip = BUILDERS[section]
     name = cfg[section][key]
@@ -122,12 +123,39 @@ def _builder_args(cfg, section: str) -> tuple:
         raise UsageError(f"unknown [{section}] {key} {name!r}; "
                          f"known: {', '.join(sorted(table))}")
     params = list(inspect.signature(table[name]).parameters.values())[skip:]
-    numeric = {p.name: isinstance(p.default, (int, float))
-               and not isinstance(p.default, bool) for p in params}
+    parsers = {p.name: _default_parser(p.default) for p in params}
     args = {k: v for k, v in cfg[section].items() if k != key}
-    _unknown_keys(section, args, numeric)
-    return name, {k: _parsed(section, k, _num, v) if numeric[k] else v
+    _unknown_keys(section, args, parsers)
+    return name, {k: _parsed(section, k, parsers[k], v) if parsers[k] else v
                   for k, v in args.items()}
+
+
+def _default_parser(default):
+    """The parser of a builder parameter with this default; None keeps
+    the text."""
+    if isinstance(default, tuple):
+        return lambda text: _num_literal(text, default)
+    if isinstance(default, (int, float)) and not isinstance(default, bool):
+        return _num
+    return None
+
+
+def _num_literal(text: str, default: tuple) -> tuple:
+    """Parse a literal of finite numbers in tuples or lists of one shape,
+    nested as deep as `default`, such as ((-0.5, 0.0), (0.5, 0.0))."""
+    try:
+        val = ast.literal_eval(text.strip())
+        # a ragged nesting leaves a tuple or list among the leaves
+        leaves = np.asarray(val, dtype=object)
+        ok = (leaves.ndim == np.ndim(default) and leaves.size > 0
+              and all(map(_finite, leaves.flat)))
+    except (ValueError, SyntaxError, TypeError, MemoryError,
+            RecursionError):
+        ok = False
+    if not ok:
+        raise UsageError(f"expected finite numbers nested like {default!r}, "
+                         f"got {text!r}")
+    return val
 
 
 def _check_keys(cfg: configparser.ConfigParser) -> None:
@@ -153,12 +181,17 @@ def _num(text: str) -> float:
         else:
             val = ast.literal_eval(s)
         # 1e999 parses as inf and 1e999/1e999 as nan
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not math.isfinite(val)):
+        if not _finite(val):
             raise ValueError(s)
     except (ValueError, SyntaxError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"expected a finite number, got {text!r}") from exc
     return val
+
+
+def _finite(val) -> bool:
+    """True for a finite int or float; bools and other types are not."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
 
 
 def _count(text: str) -> int:

@@ -13,10 +13,16 @@ every stage.  Default step: dt = min(1e-3, h / (2 a_sup)).
 
 The integrator carries the ensemble as one state array S of shape
 (d + 2, n): rows 0..d-1 hold the position components, row d the volumes
-and row d + 1 the intensities.  Each stage returns the derivative K in the
-same layout, so a stage input is S + c dt K and the RK4 update acts on
-the whole state.  The step reuses its buffers: the three stage inputs are
-formed in one preallocated array, and the update accumulates
+and row d + 1 the intensities, in C order so that every row is
+contiguous.  Each stage writes the derivative K in the same layout, so a
+stage input is S + c dt K and the RK4 update acts on the whole state.
+
+The integrator owns every buffer of the step: the four stage
+derivatives, one array for the three stage inputs, the masses
+alpha = nu w and a (d, n) array for the squared speeds and displacements.
+A stage writes its K into the buffer it is given and reads alpha, which
+the caller fills once per state; the end-of-step masses give the total
+mass and are the next step's first alpha.  The update accumulates
 ((k1 + 2 k2) + 2 k3) + k4 in k2's storage and adds it to S in place.  Each
 in-place pass rounds as the allocating expression would, so the bits are
 the same.
@@ -36,7 +42,10 @@ noted):
 - intensity sign alarm: nu_i < -NU_ALARM * max_j nu_j aborts the run (negative
   intensities of that size mean the discretization has broken down; they
   are never clamped)
-- finiteness of the state after every step
+- finiteness of the state after every step: NaN and inf reach the minima
+  and maxima of w and nu and the largest displacement, so the state is
+  scanned for the first non-finite quantity only when one of those is not
+  finite; the error names the quantity, the particle and the time
 """
 
 from __future__ import annotations
@@ -130,8 +139,11 @@ def _mutation_rows(model: ModelSpec, ens: ParticleEnsemble,
 
 
 def _pack(ens: ParticleEnsemble) -> np.ndarray:
-    """The (d + 2, n) state array of an ensemble."""
-    return np.vstack([ens.positions.T, ens.volumes, ens.intensities])
+    """The (d + 2, n) state array of an ensemble, in C order: np.vstack
+    keeps the column order of positions.T for d >= 2, which would make
+    every row a strided view."""
+    return np.ascontiguousarray(
+        np.vstack([ens.positions.T, ens.volumes, ens.intensities]))
 
 
 def _points(S: np.ndarray) -> np.ndarray:
@@ -147,27 +159,59 @@ def _points(S: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray,
-               mut_rows: np.ndarray) -> np.ndarray:
+def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray, alpha: np.ndarray,
+               K: np.ndarray, I_local: Optional[np.ndarray],
+               mut_rows: np.ndarray) -> None:
+    """Write the derivative of the state S into K.  alpha holds S's masses
+    nu * w, filled by the caller; I_local is the (n, 0) advection input of
+    a local model, None for a non-local one."""
     d = S.shape[0] - 2
     x = _points(S)
     w, nu = S[d], S[d + 1]
-    alpha = nu * w
-    I = advection_inputs(model, t, x, x, alpha)
-    K = np.empty_like(S)
+    I = I_local if I_local is not None else \
+        advection_inputs(model, t, x, x, alpha)
     K[:d] = velocity_field(model, t, x, I).T
     div = divergence_field(model, t, x, x, alpha, I)
     I_g = nonlocal_field(model.kernel_g, t, x, x, alpha)
-    R = np.asarray(model.growth(t, x, I_g), dtype=float)
-    K[d] = div * w
-    K[d + 1] = (R - div) * nu
+    R = model.growth(t, x, I_g)
+    np.multiply(div, w, out=K[d])
+    Kn = K[d + 1]
+    np.subtract(R, div, out=Kn)
+    Kn *= nu
     if mut_rows.size:
         cols = np.flatnonzero(model.support_m_y.contains(x))
         if cols.size:
             I_d = nonlocal_field(model.kernel_d, t, x[mut_rows], x, alpha)
             M = np.asarray(model.mutation(t, x[mut_rows], x[cols], I_d))
-            K[d + 1, mut_rows] += pair_sum(M * alpha[cols][None, :], axis=-1)
-    return K
+            Kn[mut_rows] += pair_sum(M * alpha[cols][None, :], axis=-1)
+
+
+def _non_finite(S: np.ndarray, t: float) -> None:
+    """Raise naming the first non-finite quantity of S and its particle;
+    return when every entry is finite."""
+    d = S.shape[0] - 2
+    finite = np.isfinite(S)
+    groups = (("position", finite[:d].all(axis=0)),
+              ("volume", finite[d]), ("intensity", finite[d + 1]))
+    for name, ok in groups:
+        if not ok.all():
+            raise IntegrationError(
+                f"non-finite {name} for particle {int(np.argmin(ok))} "
+                f"at t={t:.6g}")
+
+
+def _max_norm(sq: np.ndarray) -> float:
+    """Largest Euclidean norm of the columns of a (d, n) array of squares,
+    the components summed as pair_sum(..., axis=-1) sums an (n, d) array."""
+    d = sq.shape[0]
+    if d == 1:
+        # a reduction over one component returns it unchanged
+        return math.sqrt(np.maximum.reduce(sq[0]))
+    if d < 8:
+        # numpy sums fewer than 8 terms in index order, as the rows of
+        # the (d, n) array are added, without the strided pass per point
+        return math.sqrt(np.maximum.reduce(pair_sum(sq, axis=0)))
+    return math.sqrt(np.maximum.reduce(pair_sum(sq.T.copy(), axis=-1)))
 
 
 def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Trajectory:
@@ -186,9 +230,9 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     dt = T / n_steps if n_steps else dt
     snap_every = max(1, n_steps // 40)
 
-    d = ens0.dim
+    d, n = ens0.dim, ens0.n
     S = _pack(ens0)
-    x0 = ens0.positions
+    x0 = ens0.positions.T.copy()
     t0 = ens0.time
     mut_rows = _mutation_rows(model, ens0, T)
 
@@ -203,20 +247,30 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     snapshots = [ens0.copy()]
     # the ufunc reductions behind np.min and np.max, without their wrappers
     vmin, vmax = np.minimum.reduce, np.maximum.reduce
+    I_local = np.zeros((n, 0)) if model.is_local else None
+    k1, k2, k3, k4 = (np.empty_like(S) for _ in range(4))
     U = np.empty_like(S)
+    # views stay valid: S, U and the stage buffers are updated in place
+    pos, w, nu, wnu, v = S[:d], S[d], S[d + 1], S[d:], k1[:d]
+    Uw, Unu = U[d], U[d + 1]
+    alpha = nu * w
+    sq = np.empty((d, n))
 
     for step in range(n_steps):
         t = t0 + step * dt
-        k1 = _stage_rhs(model, t, S, mut_rows)
-        v = _points(k1)
+        # alpha holds the masses of S, formed with the last step's mass
+        _stage_rhs(model, t, S, alpha, k1, I_local, mut_rows)
         # sqrt is monotone and correctly rounded: sqrt(max) == max(sqrt)
-        speed_max = math.sqrt(vmax(pair_sum(v * v, axis=-1)))
+        speed_max = _max_norm(np.multiply(v, v, out=sq))
         np.add(S, np.multiply(k1, 0.5 * dt, out=U), out=U)
-        k2 = _stage_rhs(model, t + 0.5 * dt, U, mut_rows)
+        np.multiply(Unu, Uw, out=alpha)
+        _stage_rhs(model, t + 0.5 * dt, U, alpha, k2, I_local, mut_rows)
         np.add(S, np.multiply(k2, 0.5 * dt, out=U), out=U)
-        k3 = _stage_rhs(model, t + 0.5 * dt, U, mut_rows)
+        np.multiply(Unu, Uw, out=alpha)
+        _stage_rhs(model, t + 0.5 * dt, U, alpha, k3, I_local, mut_rows)
         np.add(S, np.multiply(k3, dt, out=U), out=U)
-        k4 = _stage_rhs(model, t + dt, U, mut_rows)
+        np.multiply(Unu, Uw, out=alpha)
+        _stage_rhs(model, t + dt, U, alpha, k4, I_local, mut_rows)
         # S += (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
         k2 *= 2.0
         k2 += k1
@@ -227,40 +281,35 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
         S += k2
         t_next = t0 + (step + 1) * dt
 
-        finite = np.isfinite(S)
-        if not finite.all():
-            groups = (("position", finite[:d].all(axis=0)),
-                      ("volume", finite[d]), ("intensity", finite[d + 1]))
-            name, ok = next(g for g in groups if not g[1].all())
-            raise IntegrationError(
-                f"non-finite {name} for particle {int(np.argmin(ok))} "
-                f"at t={t_next:.6g}")
-        x, w, nu = _points(S), S[d], S[d + 1]
-        nu_max = float(vmax(nu))
-        nu_min = float(vmin(nu))
+        wm, nu_min = vmin(wnu, axis=1).tolist()
+        w_max, nu_max = vmax(wnu, axis=1).tolist()
+        np.subtract(pos, x0, out=sq)
+        disp_max = _max_norm(np.multiply(sq, sq, out=sq))
+        # NaN and inf reach these reductions, so the state is scanned only
+        # when one of them is not finite (a finite state can still
+        # overflow the squared displacement)
+        if not (math.isfinite(wm + nu_min + w_max + nu_max)
+                and math.isfinite(disp_max)):
+            _non_finite(S, t_next)
         if nu_min < -NU_ALARM * max(nu_max, 1e-300):
             i = int(np.argmin(nu))
             raise IntegrationError(
                 f"negative intensity nu[{i}]={nu_min:.3e} at t={t_next:.6g} "
                 f"(alarm threshold {-NU_ALARM:.1e} * max nu); intensities "
                 "are never clamped, the run is aborted instead")
-        wm = float(vmin(w))
         if wm <= 0.0:
             i = int(np.argmin(w))
             raise IntegrationError(
                 f"non-positive volume w[{i}]={wm:.3e} at t={t_next:.6g}")
 
-        mass = float(pair_sum(nu * w))
-        dx = x - x0
-        dx *= dx
+        mass = float(pair_sum(np.multiply(nu, w, out=alpha)))
         support_excess = max(support_excess,
-                             math.sqrt(vmax(pair_sum(dx, axis=-1)))
-                             - model.a_sup * (t_next - t0))
+                             disp_max - model.a_sup * (t_next - t0))
 
-        rows.append((t_next, mass, nu_min, nu_max, wm, vmax(w), speed_max))
+        rows.append((t_next, mass, nu_min, nu_max, wm, w_max, speed_max))
         if (step + 1) % snap_every == 0 or step + 1 == n_steps:
             snapshots.append(ParticleEnsemble(
-                time=t_next, positions=x.copy(), volumes=w.copy(),
+                time=t_next, positions=pos.T.copy(), volumes=w.copy(),
                 intensities=nu.copy(), h=ens0.h))
 
     keys = ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")

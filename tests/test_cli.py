@@ -232,6 +232,49 @@ def test_constant_twotrait_law_runs(tmp_path, monkeypatch):
     assert final == initial
 
 
+def _tree(out):
+    """File name -> bytes of an artifact directory."""
+    tree = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            tree[name] = fh.read()
+    return tree
+
+
+def test_tuple_profile_parameter_takes_its_default(tmp_path, monkeypatch):
+    """[initial] centers, whose default is a tuple of tuples, parses as a
+    literal: the default value gives the shipped config's artifacts, and
+    only the manifest records the key."""
+    monkeypatch.setenv("PHENOPART_TIME__T_FINAL", "0.05")
+    cfg = os.path.join(CONFIG_DIR, "friedman_pair.cfg")
+    shipped, given = str(tmp_path / "shipped"), str(tmp_path / "given")
+    assert main(["simulate", "--config", cfg, "--out", shipped]) == 0
+    monkeypatch.setenv("PHENOPART_INITIAL__CENTERS",
+                       "((-0.5, 0.0), (0.5, 0.0))")
+    assert main(["simulate", "--config", cfg, "--out", given]) == 0
+    a, b = _tree(shipped), _tree(given)
+    assert a.keys() == b.keys()
+    for name in a:
+        if name != "manifest.cfg":
+            assert a[name] == b[name], name
+    assert b"centers = ((-0.5, 0.0), (0.5, 0.0))" in b["manifest.cfg"]
+    assert b"centers" not in a["manifest.cfg"]
+
+
+def test_tuple_profile_parameter_moves_the_profile(tmp_path, monkeypatch):
+    monkeypatch.setenv("PHENOPART_TIME__T_FINAL", "0.05")
+    monkeypatch.setenv("PHENOPART_INITIAL__CENTERS", "[[-0.5, 0], [0, 0.5]]")
+    out = str(tmp_path / "pair")
+    cfg = os.path.join(CONFIG_DIR, "friedman_pair.cfg")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    x0, x1 = (np.array(_csv_column(os.path.join(out, "snapshots.csv"), k,
+                                   t="0.0"), dtype=float) for k in ("x0", "x1"))
+    # two bumps of width 0.35 around (-0.5, 0) and (0, 0.5)
+    assert -0.85 < x0.min() and x0.max() < 0.35
+    assert -0.35 < x1.min() and x1.max() < 0.85
+    assert (x1[x0 < -0.35] < 0.35).all() and (x0[x1 > 0.35] > -0.35).all()
+
+
 def test_reproduce_scaled_down(tmp_path, monkeypatch):
     monkeypatch.setenv("PHENOPART_REPRODUCE__N", "30")
     monkeypatch.setenv("PHENOPART_REPRODUCE__T_FINAL", "0.5")
@@ -365,6 +408,16 @@ class TestExitCodes:
                            "TIME__T_FINAL": "0.01"}, "[model] r0"),
         ("simulate", SIM_CFG.replace("one-minus-x", "bump\nwidth = 1/0"),
          {}, "[initial] width"),
+        # builder parameters with a tuple default: a literal of finite
+        # numbers nested like it, of one shape
+        ("simulate", SIM_CFG.replace("one-minus-x", "bump-pair"),
+         {"INITIAL__CENTERS": "((0, 0), (1,))"}, "[initial] centers"),
+        ("simulate", SIM_CFG.replace("one-minus-x", "bump-pair"),
+         {"INITIAL__CENTERS": "(0.5, 0.0)"}, "[initial] centers"),
+        ("simulate", SIM_CFG.replace("one-minus-x", "bump-pair"),
+         {"INITIAL__CENTERS": "((0, 0), (1e999, 0))"}, "[initial] centers"),
+        ("reproduce", "[initial]\nprofile = bump-pair\n"
+         "centers = ((0, 0), (x, 0))\n", {}, "[initial] centers"),
     ], ids=["reproduce-n-zero", "reproduce-n-fraction",
             "reproduce-t_final-negative", "h-negative", "t_final-negative",
             "t_final-inf", "t_final-nan", "dt-zero", "eps_q-above-one", "oracle-empty-box",
@@ -375,7 +428,9 @@ class TestExitCodes:
             "unread-oracle-dx-negative", "unread-reproduce-n-zero",
             "unread-h_list-increasing", "unread-eps_q-above-one",
             "complex-constant-law", "unread-model-param-not-a-number",
-            "profile-param-not-finite"])
+            "profile-param-not-finite", "profile-tuple-ragged",
+            "profile-tuple-too-shallow", "profile-tuple-not-finite",
+            "unread-profile-tuple-not-a-literal"])
     def test_bad_value(self, tmp_path, capsys, monkeypatch, command, text,
                        env, word):
         """A bad value of a known key, or a model the grid reference cannot

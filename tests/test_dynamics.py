@@ -8,6 +8,8 @@ from scipy.integrate import solve_ivp
 
 import phenopart as pp
 from phenopart import dynamics
+from phenopart.model import (advection_inputs, divergence_field,
+                             nonlocal_field, velocity_field)
 from conftest import make_ensemble
 
 # 1 / (1 + e^-5), logistic mass at t = 5 from rho0 = 1/2, r0 = 1
@@ -163,31 +165,42 @@ def test_negative_intensity_aborts():
         pp.integrate(model, ens, pp.RunConfig(t_final=0.5))
 
 
-def test_non_finite_state_names_quantity_and_particle():
+@pytest.mark.parametrize("quantity, particle", [
+    ("position", 3), ("volume", 2), ("intensity", 2)])
+def test_non_finite_state_names_quantity_and_particle(quantity, particle):
+    """One field of the named quantity turns infinite partway through: the
+    advection on particle 3 only, the divergence (volumes and intensities
+    both go non-finite, volumes are named first) or the growth rate on the
+    right half."""
     support = pp.Box([0.0], [1.0])
 
-    def zero_field(t, X, I):
-        return np.zeros_like(X)
+    def blowup(name):
+        """inf where the named quantity's field blows up, else 0."""
+        def field(t, X, I):
+            x = X[:, 0]
+            hit = (x == 0.875) if name == "position" else (x > 0.5)
+            return np.where(hit & (t > 0.042) & (name == quantity),
+                            np.inf, 0.0)
+        return field
 
-    def zero_scalar(t, X, I):
-        return np.zeros(X.shape[0])
+    speed = blowup("position")
 
-    def blowup_growth(t, X, I):
-        # the right half's growth rate turns infinite partway through
-        return np.where((X[:, 0] > 0.5) & (t > 0.042), np.inf, 0.0)
+    def advection(t, X, I):
+        return speed(t, X, I)[:, None]
 
     model = pp.ModelSpec(
-        name="blowup", dim=1, advection=zero_field,
-        advection_div_x=zero_scalar, growth=blowup_growth,
+        name="blowup", dim=1, advection=advection,
+        advection_div_x=blowup("volume"), growth=blowup("intensity"),
         kernels_a=(pp.constant_kernel(1.0),),
         kernel_g=pp.constant_kernel(1.0),
         support_v0=support, a_sup=0.0)
     prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
     ens = pp.partition_support(prof, model, 0.25, T=0.1)
     assert ens.positions[:, 0].tolist() == [0.125, 0.375, 0.625, 0.875]
-    with pytest.raises(pp.IntegrationError,
-                       match=r"non-finite intensity for particle 2 at t=0\.05$"):
+    with pytest.raises(pp.IntegrationError) as err:
         pp.integrate(model, ens, pp.RunConfig(t_final=0.1, dt=0.01))
+    assert str(err.value) == \
+        f"non-finite {quantity} for particle {particle} at t=0.05"
 
 
 @pytest.mark.parametrize("t_final", [0.0, 1.0])
@@ -270,9 +283,35 @@ def test_monitors_hold_on_random_clouds(advsel_model, seed, n):
 # the step loop against the expression-per-stage loop it replaced
 
 
+def _reference_stage(model, t, S, mut_rows):
+    """The stage right-hand side with fresh arrays: alpha = nu * w, K,
+    div * w, (R - div) * nu and the mutation sum."""
+    d = S.shape[0] - 2
+    x = dynamics._points(S)
+    w, nu = S[d], S[d + 1]
+    alpha = nu * w
+    I = advection_inputs(model, t, x, x, alpha)
+    K = np.empty_like(S)
+    K[:d] = velocity_field(model, t, x, I).T
+    div = divergence_field(model, t, x, x, alpha, I)
+    I_g = nonlocal_field(model.kernel_g, t, x, x, alpha)
+    R = np.asarray(model.growth(t, x, I_g), dtype=float)
+    K[d] = div * w
+    K[d + 1] = (R - div) * nu
+    if mut_rows.size:
+        cols = np.flatnonzero(model.support_m_y.contains(x))
+        if cols.size:
+            I_d = nonlocal_field(model.kernel_d, t, x[mut_rows], x, alpha)
+            M = np.asarray(model.mutation(t, x[mut_rows], x[cols], I_d))
+            K[d + 1, mut_rows] += pp.pair_sum(M * alpha[cols][None, :],
+                                              axis=-1)
+    return K
+
+
 def _reference_steps(model, ens0, dt, n_steps, snap_every):
     """Series, snapshots and support excess from a plain RK4 loop: fresh
-    arrays per stage input and per update, np.min / np.max monitors."""
+    arrays per stage, stage input and update, np.min / np.max monitors
+    and a finiteness check of the whole state."""
     S = dynamics._pack(ens0)
     x0, d, t0 = ens0.positions, ens0.dim, ens0.time
     mut_rows = dynamics._mutation_rows(model, ens0, n_steps * dt)
@@ -282,15 +321,16 @@ def _reference_steps(model, ens0, dt, n_steps, snap_every):
     support_excess = 0.0
     for step in range(n_steps):
         t = t0 + step * dt
-        k1 = dynamics._stage_rhs(model, t, S, mut_rows)
+        k1 = _reference_stage(model, t, S, mut_rows)
         v = dynamics._points(k1)
         speed_max = float(np.max(np.sqrt(pp.pair_sum(v * v, axis=-1))))
-        k2 = dynamics._stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k1,
-                                 mut_rows)
-        k3 = dynamics._stage_rhs(model, t + 0.5 * dt, S + 0.5 * dt * k2,
-                                 mut_rows)
-        k4 = dynamics._stage_rhs(model, t + dt, S + dt * k3, mut_rows)
+        k2 = _reference_stage(model, t + 0.5 * dt, S + 0.5 * dt * k1,
+                              mut_rows)
+        k3 = _reference_stage(model, t + 0.5 * dt, S + 0.5 * dt * k2,
+                              mut_rows)
+        k4 = _reference_stage(model, t + dt, S + dt * k3, mut_rows)
         S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.isfinite(S).all()
         t_next = t0 + (step + 1) * dt
         x, w, nu = dynamics._points(S), S[d], S[d + 1]
         disp = np.sqrt(pp.pair_sum((x - x0) ** 2, axis=-1))
@@ -307,18 +347,43 @@ def _reference_steps(model, ens0, dt, n_steps, snap_every):
     return series, snapshots, support_excess
 
 
+@pytest.mark.parametrize("d", range(1, 11))
+def test_max_norm_sums_components_like_pair_sum(d):
+    """The (d, n) buffer of squares gives the bits of pair_sum(..., axis=-1)
+    over its (n, d) transpose, below and above numpy's 8-term block."""
+    rng = np.random.default_rng(d)
+    sq = (rng.standard_normal((d, 500))
+          * 10.0 ** rng.integers(-8, 8, (d, 500))) ** 2
+    want = np.max(np.sqrt(pp.pair_sum(np.ascontiguousarray(sq.T), axis=-1)))
+    assert dynamics._max_norm(sq) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_state_rows_are_contiguous(dim):
+    """Row passes on the packed state stay contiguous in every dimension."""
+    S = dynamics._pack(make_ensemble(20, dim=dim))
+    assert S.shape == (dim + 2, 20)
+    assert S.flags.c_contiguous
+
+
 def _mutation_toy(support):
     """advsel1d with a Gaussian mutation kernel whose x- and y-supports
-    cover part of the lattice, so both row and column pruning act."""
+    cover part of the lattice, so both row and column pruning act.  The
+    x-support reaches past the profile, whose empty cells there are kept
+    as rows; the kernel is cut to zero for x > 1, where the flow keeps
+    them, so their intensities stay exact zeros."""
     base = pp.build_model("advsel1d", support)
+
+    def mutation(t, X, Y, I):
+        gauss = 0.5 * np.exp(-(X[:, :1] - Y[:, 0][None, :]) ** 2 / 0.01)
+        return np.where(X[:, :1] <= 1.0, gauss, 0.0) / (1.0 + I[:, None])
+
     return pp.ModelSpec(
         name="mutation-toy", dim=1, advection=base.advection,
         advection_div_x=base.advection_div_x, growth=base.growth,
         kernel_g=base.kernel_g, support_v0=support, a_sup=base.a_sup,
-        mutation=lambda t, X, Y, I: 0.5 * np.exp(
-            -(X[:, :1] - Y[:, 0][None, :]) ** 2 / 0.01) / (1.0 + I[:, None]),
-        kernel_d=pp.constant_kernel(1.0),
-        support_m_x=pp.Box([0.2], [0.7]), support_m_y=pp.Box([0.1], [0.6]),
+        mutation=mutation, kernel_d=pp.constant_kernel(1.0),
+        support_m_x=pp.Box([0.2], [1.2]), support_m_y=pp.Box([0.1], [0.6]),
         M_bar=0.5)
 
 
@@ -329,6 +394,11 @@ def _case(name):
     if name == "nldrift1d":
         prof = pp.build_profile("bump", center=0.5, width=0.4)
         return prof, pp.build_model("nldrift1d", prof.support), 1 / 40
+    if name == "linadv3d":
+        # the only d = 3 case: pins the sums over the components of the
+        # speed and displacement squares
+        prof = pp.build_profile("bump", center=[0.5] * 3, width=0.3)
+        return prof, pp.build_model("linadv1d", prof.support), 1 / 10
     prof = pp.build_profile("one-minus-x")
     if name == "mutation":
         return prof, _mutation_toy(prof.support), 1 / 40
@@ -336,7 +406,7 @@ def _case(name):
 
 
 @pytest.mark.parametrize("name", ["advsel1d", "twotrait2d", "nldrift1d",
-                                  "mutation"])
+                                  "mutation", "linadv3d"])
 def test_step_loop_matches_reference_bitwise(name):
     prof, model, h = _case(name)
     # 130 steps: a snapshot every 3 steps, and the last off that cadence
@@ -346,6 +416,11 @@ def test_step_loop_matches_reference_bitwise(name):
     assert traj.n_steps == 130
     if name == "mutation":
         assert 0 < dynamics._mutation_rows(model, ens, T).size < ens.n
+        # exact zeros all the way, so the minima meet them at every step
+        assert (traj.final.intensities == 0.0).any()
+        assert (traj.series["nu_min"] == 0.0).all()
+    if name == "linadv3d":
+        assert ens.n == 216
     series, snapshots, support_excess = _reference_steps(
         model, ens, traj.dt, traj.n_steps, 3)
     assert [col.tobytes() for col in traj.series.values()] == \

@@ -324,6 +324,34 @@ def test_nldrift_speed_bound_covers_the_saturation_range(drift0, r0):
     assert report.entry("speed_bound").passed, "\n".join(report.lines())
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linadv_in_d_dimensions(dim):
+    """The support monitor measures the Euclidean displacement, so a_sup
+    bounds |x| over the box, not each component: the far corner of the
+    d-dimensional bump moves at 0.8 sqrt(d).  The volumes contract at the
+    divergence -d."""
+    prof = pp.build_profile("bump", center=[0.5] * dim, width=0.3)
+    model = pp.build_model("linadv1d", prof.support)
+    assert model.a_sup == pytest.approx(0.8 * np.sqrt(dim), rel=1e-15)
+    ens = pp.partition_support(prof, model, 1 / 10, T=0.2)
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=0.2, dt=0.01))
+    assert traj.monitors.ok
+    assert traj.monitors.support_excess_max == 0.0
+    report = pp.validate_model(model, prof.support)
+    assert report.entry("speed_bound").passed, "\n".join(report.lines())
+    # div(-x) = -d: the closed forms x0 e^{-t} and w0 e^{-d t}, to the RK4
+    # error T (3 dt)^4 3 / 120 = 4e-9 of the fastest rate
+    np.testing.assert_allclose(traj.final.positions,
+                               ens.positions * np.exp(-0.2), rtol=1e-8)
+    np.testing.assert_allclose(traj.final.volumes,
+                               ens.volumes * np.exp(-0.2 * dim), rtol=1e-8)
+
+
+def test_linadv_speed_bound_keeps_its_1d_value():
+    assert pp.build_model("linadv1d", pp.Box([-2.0], [1.5])).a_sup == 2.0
+    assert pp.build_model("linadv1d", pp.Box([0.1], [0.7])).a_sup == 0.7
+
+
 def test_speed_bound_violation_detected(advsel_profile):
     model = pp.build_model("advsel1d", advsel_profile.support)
     # lie about the speed bound and expect the sampler to notice
