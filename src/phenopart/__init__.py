@@ -14,10 +14,9 @@ and decides whether the discretization preserves the long-time asymptotics.
 
 from .analysis import (APReport, AnalysisError, ClusterReport,
                        ConditionResiduals, FitResult, PredictionError,
-                       SelfConvergenceResult, ap_verdict,
-                       check_dirac_necessary_conditions, default_test_functions,
-                       detect_limit_clusters, fit_convergence_order,
-                       particle_self_convergence, predict_limit_mass,
+                       ap_verdict, check_dirac_necessary_conditions,
+                       default_test_functions, detect_limit_clusters,
+                       fit_convergence_order, predict_limit_mass,
                        weak_measure_gap, weighted_pointwise_error)
 from .discretize import (DiscretizationError, InitialDensity, MutationCheck,
                          PROFILES, ParticleEnsemble, SpacingError,

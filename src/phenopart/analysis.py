@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .discretize import (InitialDensity, ParticleEnsemble, _bump_1d,
-                         active_box, partition_support)
-from .dynamics import RunConfig, Trajectory, integrate
+from .discretize import ParticleEnsemble, _bump_1d, active_box
+from .dynamics import Trajectory
 from .model import ModelSpec, advection_inputs, nonlocal_field, pair_sum
 from .reference import ReferenceSolution
-from .regularize import CutoffSpec, epsilon_rule, reconstruct
 
 __all__ = [
     "AnalysisError",
@@ -46,8 +44,6 @@ __all__ = [
     "check_dirac_necessary_conditions",
     "weak_measure_gap",
     "default_test_functions",
-    "particle_self_convergence",
-    "SelfConvergenceResult",
     "ap_verdict",
     "APReport",
 ]
@@ -308,60 +304,6 @@ def weak_measure_gap(ens: ParticleEnsemble, oracle: ReferenceSolution) -> float:
         ref = float(np.trapezoid(np.asarray(phi(oracle.x)) * oracle.v, dx=oracle.dx))
         gap = max(gap, abs(part - ref))
     return gap
-
-
-# ---------------------------------------------------------------------------
-# self-convergence without an oracle
-
-
-@dataclass(frozen=True)
-class SelfConvergenceResult:
-    fit: FitResult
-    truth_h: float
-
-    @property
-    def order(self) -> float:
-        return self.fit.order
-
-
-def particle_self_convergence(model: ModelSpec, v0: InitialDensity,
-                              h_list: Sequence[float], T: float,
-                              cutoff: CutoffSpec, eps_q: float = 0.5,
-                              dt: Optional[float] = None) -> SelfConvergenceResult:
-    """Convergence order against the finest run itself.
-
-    Runs every h in h_list plus one extra refinement at min(h)/2, which
-    serves as the surrogate truth, so the fit still has len(h_list) pairs
-    (the order fit needs at least 3).  All runs are reconstructed on one
-    shared grid with spacing eps(truth)/4.
-    """
-    h_list = sorted(set(float(h) for h in h_list), reverse=True)
-    if len(h_list) < 3:
-        raise AnalysisError("self-convergence needs at least 3 h values")
-    h_truth = h_list[-1] / 2.0
-    box = active_box(model, T)
-    eps_truth = epsilon_rule(h_truth, q=eps_q)
-    spacing = eps_truth / 4.0
-    pad = 4.0 * cutoff.radius * epsilon_rule(h_list[0], q=eps_q)
-    lo = float(box.lo[0]) - pad
-    hi = float(box.hi[0]) + pad
-    n_pts = int(math.ceil((hi - lo) / spacing)) + 1
-    grid = lo + spacing * np.arange(n_pts)
-
-    def run(h: float) -> np.ndarray:
-        ens0 = partition_support(v0, model, h, T)
-        traj = integrate(model, ens0, RunConfig(t_final=T, dt=dt))
-        return reconstruct(traj.final, cutoff, epsilon_rule(h, q=eps_q),
-                           grid[:, None])
-
-    truth = run(h_truth)
-    pairs = []
-    for h in h_list:
-        vals = run(h)
-        err = float(np.trapezoid(np.abs(vals - truth), dx=spacing))
-        pairs.append((h, err))
-    return SelfConvergenceResult(fit=fit_convergence_order(pairs),
-                                 truth_h=h_truth)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ simulate   one particle run from a config; time series, final state, report
 converge   an h-sweep measured against the grid reference (local advection)
            or against a run at half the finest h (non-local); fitted orders
 asymptote  long-horizon N-sweep; cluster reports and a preservation verdict
-reproduce  built-in four-scenario long-run suite
+reproduce  four built-in advsel1d long-run scenarios; cluster reports
+           and a summary table
 
 Configs are INI files.  Any value can be overridden through environment
 variables named ``PHENOPART_<SECTION>__<KEY>``; a section or key that no
@@ -23,10 +24,10 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
-import csv
 import inspect
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,10 +35,10 @@ import numpy as np
 
 from .analysis import (ap_verdict, check_dirac_necessary_conditions,
                        detect_limit_clusters, fit_convergence_order,
-                       particle_self_convergence, predict_limit_mass,
-                       weak_measure_gap, weighted_pointwise_error)
-from .discretize import (PROFILES, ParticleEnsemble, build_profile,
-                         partition_support)
+                       predict_limit_mass, weak_measure_gap,
+                       weighted_pointwise_error)
+from .discretize import (PROFILES, ParticleEnsemble, active_box,
+                         build_profile, partition_support)
 from .dynamics import RunConfig, integrate
 from .model import MODELS, build_model
 from .reference import (ReferenceConfig, l1_distance, refine_until_stable,
@@ -366,7 +367,7 @@ def _cell(value) -> str:
 _CSV_BLOCK = 4096
 
 
-def _column_cells(col) -> list:
+def _column_cells(col, width: int) -> list:
     """`_cell` of every entry; a numpy array is formatted through its
     Python scalars, one call per column instead of one per cell."""
     if isinstance(col, np.ndarray):
@@ -376,20 +377,38 @@ def _column_cells(col) -> list:
             return list(map(str, col.tolist()))
         if col.dtype.kind == "f":
             return list(map(repr, col.tolist()))
-    return [_cell(v) for v in col]
+    return _unquoted([_cell(v) for v in col], width)
+
+
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _unquoted(cells: list, width: int) -> list:
+    """`cells`, which are written as they are; a cell that a CSV reader
+    needs quoted is refused: one holding a comma, a quote or a line
+    break, or an empty one that is the only cell of its row."""
+    for cell in cells:
+        if _QUOTED.search(cell) or (width == 1 and not cell):
+            raise ValueError(f"CSV cell {cell!r} would need quoting")
+    return cells
 
 
 def write_csv(path: str, header, columns) -> None:
-    """A CSV table from equal-length columns (numpy arrays or sequences)."""
+    """A CSV table from equal-length columns (numpy arrays or sequences):
+    ","-joined cells, "\\r\\n"-ended lines."""
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError("CSV columns differ in length")
+    width = len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_unquoted(list(header), len(header))) + "\r\n")
         for lo in range(0, n, _CSV_BLOCK):
-            writer.writerows(zip(*(_column_cells(col[lo:lo + _CSV_BLOCK])
-                                   for col in columns)))
+            # one line at a time, and no name holds a block's cells while
+            # the next block is formatted: a block joined into one text,
+            # or kept alive, raises the peak memory by that block
+            fh.writelines(",".join(row) + "\r\n" for row in zip(
+                *(_column_cells(col[lo:lo + _CSV_BLOCK], width)
+                  for col in columns)))
 
 
 def write_report(path: str, pairs) -> None:
@@ -436,46 +455,22 @@ def _monitor_pairs(mon, extremes: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (module level so they pickle)
+# the sweep member (module level so it pickles)
 
 
-def _converge_member(payload):
-    """One h of the convergence sweep; errors against the shipped oracle."""
-    cfg, run, h, eps, sol = payload
+def _member(payload):
+    """One run of a sweep: build, partition at spacing h and integrate.
+    Returns the final ensemble, the monitors, the series, the limit
+    clusters and the reconstruction on `grid`, None without a grid."""
+    cfg, run, h, grid = payload
     profile, model, cutoff = build_objects(cfg)
-    ens0 = partition_support(profile, model, h, run.t_final)
-    traj = integrate(model, ens0, run)
+    traj = integrate(model, partition_support(profile, model, h, run.t_final),
+                     run)
     fin = traj.final
-    recon = reconstruct(fin, cutoff, eps, sol.x)
-    return (h, eps, fin.n,
-            l1_distance(sol, recon),
-            weighted_pointwise_error(fin, sol),
-            traj.monitors.mass_excess_max,
-            traj.monitors.support_excess_max)
-
-
-def _asymptote_member(payload):
-    """One N of the long-horizon sweep; clusters found in the worker, the
-    gap against the oracle is computed by the parent."""
-    cfg, run, n = payload
-    profile, model, cutoff = build_objects(cfg)
-    h = 1.0 / float(n)
-    ens0 = partition_support(profile, model, h, run.t_final)
-    traj = integrate(model, ens0, run)
-    return n, h, traj.final, detect_limit_clusters(traj), traj.monitors
-
-
-def _reproduce_member(payload):
-    """One scenario of the built-in suite."""
-    (name, profile_name, profile_params, model_params), n, run = payload
-    profile = build_profile(profile_name, **profile_params)
-    model = build_model("advsel1d", profile.support, **model_params)
-    ens0 = partition_support(profile, model, 1.0 / n, run.t_final)
-    traj = integrate(model, ens0, run)
-    rep = detect_limit_clusters(traj)
-    _main, predicted, summary = _cluster_summary(model, rep)
-    return (name, traj.final.mass(), rep, summary, predicted,
-            traj.series, _state_columns(traj.final), traj.monitors)
+    recon = None if grid is None else reconstruct(fin, cutoff,
+                                                  _epsilon(cfg, h), grid)
+    return (fin, traj.monitors, traj.series, detect_limit_clusters(traj),
+            recon)
 
 
 def _cluster_summary(model, rep):
@@ -570,24 +565,27 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     # both paths need a valid eps rule at every h; check it before any run
     eps_list = [_epsilon(cfg, h) for h in h_list]
     if not model.is_local:
-        return _self_converge(cfg, out, profile, model, cutoff, run, h_list)
+        return _self_converge(cfg, out, model, cutoff, run, h_list, workers)
 
     sol = solve_reference(model, profile, _oracle_config(cfg, model), t_final)
-    members = _pool_map(_converge_member,
-                        [(cfg, run, h, eps, sol)
-                         for h, eps in zip(h_list, eps_list)], workers)
+    members = _pool_map(_member, [(cfg, run, h, sol.x) for h in h_list],
+                        workers)
+    rows = [(h, eps, fin.n, l1_distance(sol, recon),
+             weighted_pointwise_error(fin, sol), mon.mass_excess_max,
+             mon.support_excess_max)
+            for h, eps, (fin, mon, _series, _rep, recon)
+            in zip(h_list, eps_list, members)]
 
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "errors.csv"),
               ["h", "eps", "n_particles", "l1_error", "weighted_error",
                "mass_excess", "support_excess"],
-              list(zip(*members)))
+              list(zip(*rows)))
 
-    hs = [m[0] for m in members]
-    l1 = [m[3] for m in members]
-    weighted = [m[4] for m in members]
-    l1_fit = fit_convergence_order(list(zip(hs, l1)))
-    w_fit = fit_convergence_order(list(zip(hs, weighted)))
+    l1 = [row[3] for row in rows]
+    weighted = [row[4] for row in rows]
+    l1_fit = fit_convergence_order(list(zip(h_list, l1)))
+    w_fit = fit_convergence_order(list(zip(h_list, weighted)))
     report = [
         ("t_final", t_final),
         ("oracle_dx", sol.dx), ("oracle_dt", sol.dt),
@@ -604,8 +602,8 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
 
     line_plot(
         os.path.join(out, "errors.svg"),
-        [PlotSeries("L1 error", hs, l1),
-         PlotSeries("weighted pointwise", hs, weighted)],
+        [PlotSeries("L1 error", h_list, l1),
+         PlotSeries("weighted pointwise", h_list, weighted)],
         title=f"{model.name}: errors vs h at t={t_final:g}",
         xlabel="h", ylabel="error", logx=True, logy=True,
         annotations=[f"L1 order {l1_fit.order:.3f}",
@@ -613,23 +611,33 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     return 0
 
 
-def _self_converge(cfg, out, profile, model, cutoff, run, h_list) -> int:
+def _self_converge(cfg, out, model, cutoff, run, h_list, workers) -> int:
     """No grid reference covers non-local advection: every h is measured
-    against one particle run at half the finest h."""
+    against one particle run at half the finest h.  All runs are
+    reconstructed on one grid of spacing eps(truth)/4 over the active box,
+    padded by 4 cutoff radii at the coarsest eps."""
     t_final = run.t_final
-    res = particle_self_convergence(
-        model, profile, h_list, t_final, cutoff,
-        eps_q=_get(cfg, "regularize", "eps_q"), dt=run.dt)
-    fit = res.fit
-    hs = [h for h, _e in fit.pairs]
-    errors = [e for _h, e in fit.pairs]
+    hs = [float(h) for h in h_list]
+    truth_h = hs[-1] / 2.0
+    spacing = _epsilon(cfg, truth_h) / 4.0
+    pad = 4.0 * cutoff.radius * _epsilon(cfg, hs[0])
+    box = active_box(model, t_final)
+    lo = float(box.lo[0]) - pad
+    hi = float(box.hi[0]) + pad
+    grid = lo + spacing * np.arange(int(math.ceil((hi - lo) / spacing)) + 1)
+    members = _pool_map(_member, [(cfg, run, h, grid)
+                                  for h in hs + [truth_h]], workers)
+    *recons, truth = [recon for *_rest, recon in members]
+    errors = [float(np.trapezoid(np.abs(vals - truth), dx=spacing))
+              for vals in recons]
+    fit = fit_convergence_order(list(zip(hs, errors)))
 
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "errors.csv"), ["h", "l1_error"],
               [hs, errors])
     write_report(os.path.join(out, "report.txt"), [
         ("t_final", t_final), ("reference", "self"),
-        ("truth_h", res.truth_h),
+        ("truth_h", truth_h),
         ("l1_order", fit.order), ("l1_max_residual", fit.max_residual),
         ("l1_decreasing", _decreasing(errors)),
     ])
@@ -639,7 +647,7 @@ def _self_converge(cfg, out, profile, model, cutoff, run, h_list) -> int:
         title=f"{model.name}: self-convergence at t={t_final:g}",
         xlabel="h", ylabel="error", logx=True, logy=True,
         annotations=[f"L1 order {fit.order:.3f}",
-                     f"truth at h={res.truth_h:g}"])
+                     f"truth at h={truth_h:g}"])
     return 0
 
 
@@ -660,12 +668,13 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
         target=_get(cfg, "asymptote", "target"),
         max_levels=_get(cfg, "asymptote", "max_levels"))
 
-    members = _pool_map(_asymptote_member,
-                        [(cfg, run, n) for n in n_list], workers)
+    hs = [1.0 / float(n) for n in n_list]
+    members = _pool_map(_member, [(cfg, run, h, None) for h in hs], workers)
 
     gaps = {}
     gap_rows, cluster_rows = [], []
-    for n, h, fin, rep, monitors in members:
+    for n, h, (fin, monitors, _series, rep, _recon) in zip(n_list, hs,
+                                                           members):
         gap = weak_measure_gap(fin, sol)
         gaps[h] = gap
         gap_rows.append([n, h, gap, len(rep.clusters), rep.total_mass,
@@ -692,7 +701,7 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
         ("oracle_mass", sol.mass()), ("oracle_dx", sol.dx),
         ("oracle_refinements", len(history) - 1),
     ]
-    main, _predicted, summary = _cluster_summary(model, members[-1][3])
+    main, _predicted, summary = _cluster_summary(model, rep)
     if main is not None:
         report.append(("main_cluster_center",
                        " ".join(repr(float(c)) for c in main[0])))
@@ -710,32 +719,43 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
     return 0
 
 
-SCENARIOS = [
-    ("one-minus-x", "one-minus-x", {}, {"r0": 6.0, "r1": 4.0}),
-    ("x-one-minus-x", "x-one-minus-x", {}, {"r0": 6.0, "r1": 4.0}),
-    ("x-squared", "x-squared", {}, {"r0": 6.0, "r1": 4.0}),
-    ("const6", "const6", {}, {"r0": 6.0, "r1": 0.5}),
-]
+# the [model] and [initial] sections of each built-in long-run scenario
+SCENARIOS = {
+    name: {"model": {"name": "advsel1d", "r0": "6.0", "r1": r1},
+           "initial": {"profile": name}}
+    for name, r1 in [("one-minus-x", "4.0"), ("x-one-minus-x", "4.0"),
+                     ("x-squared", "4.0"), ("const6", "0.5")]}
+
+
+def _scenario_config(cfg, sections) -> configparser.ConfigParser:
+    """A copy of `cfg` whose sections named in `sections` are replaced."""
+    out = configparser.ConfigParser(interpolation=None)
+    out.read_dict({**{s: cfg[s] for s in cfg.sections()}, **sections})
+    return out
 
 
 def cmd_reproduce(cfg, out: str, workers: int) -> int:
     n = _get(cfg, "reproduce", "n")
     run = _run_config(cfg, "reproduce")
     t_final = run.t_final
+    configs = [_scenario_config(cfg, sc) for sc in SCENARIOS.values()]
+    models = [build_objects(c)[1] for c in configs]
 
-    members = _pool_map(_reproduce_member,
-                        [(sc, n, run) for sc in SCENARIOS], workers)
+    members = _pool_map(_member, [(c, run, 1.0 / n, None) for c in configs],
+                        workers)
 
     os.makedirs(out, exist_ok=True)
     summary_rows = []
     mass_series = []
-    for (name, final_mass, rep, summary, predicted,
-         series, state, monitors) in members:
+    for name, model, (fin, monitors, series, rep, _recon) in zip(
+            SCENARIOS, models, members):
+        _main, predicted, summary = _cluster_summary(model, rep)
+        final_mass = fin.mass()
         sub = os.path.join(out, name)
         os.makedirs(sub, exist_ok=True)
         write_csv(os.path.join(sub, "series.csv"), list(series),
                   list(series.values()))
-        write_csv(os.path.join(sub, "final.csv"), *state)
+        write_csv(os.path.join(sub, "final.csv"), *_state_columns(fin))
         report = [("scenario", name), ("t_final", t_final),
                   ("final_mass", final_mass),
                   ("conclusive", rep.conclusive),

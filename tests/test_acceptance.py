@@ -288,14 +288,18 @@ def test_criterion_09_cutoff_moments_and_mass():
     assert time.monotonic() - t0 < 10.0
 
 
-def test_criterion_10_nonlocal_toy_self_convergence():
+def test_criterion_10_nonlocal_toy_self_convergence(tmp_path):
     t0 = time.monotonic()
-    prof = pp.build_profile("bump", center=0.5, width=0.4)
-    model = pp.build_model("nldrift1d", prof.support, drift0=1.0, r0=1.0)
-    res = pp.particle_self_convergence(
-        model, prof, [1 / 50, 1 / 100, 1 / 200], T=1.0,
-        cutoff=pp.build_cutoff("bspline3"), eps_q=0.5)
-    assert res.order >= 0.5
+    # nldrift1d from a bump at 0.5 of width 0.4, h = 1/50, 1/100, 1/200
+    # at T = 1, bspline3 cutoff, eps = h^0.5; each h against a run at 1/400
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "nonlocal_toy.cfg")
+    out = tmp_path / "toy"
+    assert cli_main(["converge", "--config", config, "--out", str(out)]) == 0
+    with open(out / "report.txt", encoding="utf-8") as fh:
+        report = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+    assert report["reference"] == "self"
+    assert float(report["l1_order"]) >= 0.5
 
     # divergence with the non-local chain-rule term against a central
     # difference of the velocity field itself

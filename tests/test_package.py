@@ -44,6 +44,41 @@ def test_no_unused_imports():
     assert unused == []
 
 
+# (module, package module it imports from or None for every one, the only
+# names it may import from there or None, the names it must not import)
+IMPORT_RULES = [
+    # the oracle shares no code with the particle path
+    ("reference", "dynamics", set(), None),
+    ("reference", "regularize", set(), None),
+    ("reference", "discretize", {"InitialDensity"}, None),
+    # the diagnostics measure runs and never make one
+    ("analysis", None, None, {"integrate", "partition_support",
+                              "reconstruct"}),
+]
+
+
+def _package_imports(module: str) -> set:
+    """(package module, name) of every relative import in `module`,
+    function-level imports included."""
+    path = pathlib.Path(pp.__path__[0]) / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(node.module, alias.name) if node.module else (alias.name, None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names}
+
+
+@pytest.mark.parametrize("module, source, only, never", IMPORT_RULES,
+                         ids=[f"{m}-{s or 'any'}" for m, s, *_ in IMPORT_RULES])
+def test_import_rules(module, source, only, never):
+    names = {name for src, name in _package_imports(module)
+             if source is None or src == source}
+    if only is not None:
+        assert names <= only
+    if never is not None:
+        assert names.isdisjoint(never)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     """scipy.stats costs about a second of start-up and only `Box.sample`
     reads it, so importing the package and its CLI must not load it."""
