@@ -362,8 +362,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-# rows formatted per pass: a whole 78 000-row table of strings at once costs
-# more peak memory than the run itself
+# rows formatted per block: only one block's cells are alive at a time, so
+# every table, the snapshots of a whole run included, is written in memory
+# bounded by one block and not by the length of the table
 _CSV_BLOCK = 4096
 
 
@@ -393,6 +394,19 @@ def _unquoted(cells: list, width: int) -> list:
     return cells
 
 
+def _write_table(path: str, header, blocks) -> None:
+    """A CSV file: the header, then the rows of each block, a list of
+    equal-length cell lists; ","-joined cells, "\\r\\n"-ended lines."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_unquoted(list(header), len(header))) + "\r\n")
+        for cells in blocks:
+            # one line at a time, and no name holds a block's cells while
+            # the next block is formatted: a block joined into one text,
+            # or kept alive, raises the peak memory by that block
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+            del cells
+
+
 def write_csv(path: str, header, columns) -> None:
     """A CSV table from equal-length columns (numpy arrays or sequences):
     ","-joined cells, "\\r\\n"-ended lines."""
@@ -400,15 +414,9 @@ def write_csv(path: str, header, columns) -> None:
     if any(len(col) != n for col in columns):
         raise ValueError("CSV columns differ in length")
     width = len(columns)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_unquoted(list(header), len(header))) + "\r\n")
-        for lo in range(0, n, _CSV_BLOCK):
-            # one line at a time, and no name holds a block's cells while
-            # the next block is formatted: a block joined into one text,
-            # or kept alive, raises the peak memory by that block
-            fh.writelines(",".join(row) + "\r\n" for row in zip(
-                *(_column_cells(col[lo:lo + _CSV_BLOCK], width)
-                  for col in columns)))
+    _write_table(path, header, (
+        [_column_cells(col[lo:lo + _CSV_BLOCK], width) for col in columns]
+        for lo in range(0, n, _CSV_BLOCK)))
 
 
 def write_report(path: str, pairs) -> None:
@@ -435,13 +443,24 @@ def _state_columns(ens: ParticleEnsemble):
 
 
 def _write_snapshots(path: str, snapshots) -> None:
-    """Every snapshot's state table, stacked, behind a time column."""
+    """Every snapshot's state table, one after another, behind a time
+    column.  Written from the snapshots a block at a time, with no stacked
+    copy: the time cell is formatted once per snapshot, the labels once
+    per file."""
     header, _cols = _state_columns(snapshots[0])
-    times = np.repeat([snap.time for snap in snapshots],
-                      [snap.n for snap in snapshots])
-    stacked = zip(*(_state_columns(snap)[1] for snap in snapshots))
-    write_csv(path, ["t"] + header,
-              [times] + [np.concatenate(col) for col in stacked])
+    labels = [str(i) for i in range(max(snap.n for snap in snapshots))]
+    width = len(header) + 1
+
+    def blocks():
+        for snap in snapshots:
+            t = repr(float(snap.time))
+            columns = _state_columns(snap)[1][1:]
+            for lo in range(0, snap.n, _CSV_BLOCK):
+                hi = min(lo + _CSV_BLOCK, snap.n)
+                yield ([[t] * (hi - lo), labels[lo:hi]]
+                       + [_column_cells(col[lo:hi], width) for col in columns])
+
+    _write_table(path, ["t"] + header, blocks())
 
 
 def _monitor_pairs(mon, extremes: bool = True):

@@ -27,6 +27,11 @@ mass and are the next step's first alpha.  The update accumulates
 in-place pass rounds as the allocating expression would, so the bits are
 the same.
 
+The per-step series is one (7, n_steps + 1) float64 array, allocated
+before the first step: each step writes its column of seven values, and
+no Python object is kept per step, so a long run's series costs 56 bytes
+a step.
+
 Mutation pruning: rows are restricted once, at t = 0, to particles in
 ``mutation_reach`` (supp_x m padded by a_sup T), the rule by which
 ``partition_support`` keeps empty cells; columns are restricted each stage
@@ -110,7 +115,13 @@ class MonitorReport:
 
 @dataclass
 class Trajectory:
-    """Integration output: snapshots, per-step series, and monitor summary."""
+    """Integration output: snapshots, per-step series, and monitor summary.
+
+    ``series`` maps t, mass, nu_min, nu_max, w_min, w_max and speed_max to
+    the rows of one (7, n_steps + 1) float64 array, as C-contiguous row
+    views.  Entry i holds the values after i steps, except speed_max: the
+    largest speed at the start of the i-th step (0 at i = 0).
+    """
 
     model: ModelSpec
     dt: float
@@ -242,8 +253,13 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     # stepping; it starts at 0, its exact value at t0
     support_excess = 0.0
 
-    rows = [(t0, mass, np.min(S[d + 1]), np.max(S[d + 1]), np.min(S[d]),
-             np.max(S[d]), 0.0)]
+    keys = ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")
+    # one series row per key, one column per step: rows[i] = (...) stores
+    # the values after i steps and keeps no Python object per step
+    table = np.empty((len(keys), n_steps + 1))
+    rows = table.T
+    rows[0] = (t0, mass, np.min(S[d + 1]), np.max(S[d + 1]), np.min(S[d]),
+               np.max(S[d]), 0.0)
     snapshots = [ens0.copy()]
     # the ufunc reductions behind np.min and np.max, without their wrappers
     vmin, vmax = np.minimum.reduce, np.maximum.reduce
@@ -306,14 +322,13 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
         support_excess = max(support_excess,
                              disp_max - model.a_sup * (t_next - t0))
 
-        rows.append((t_next, mass, nu_min, nu_max, wm, w_max, speed_max))
+        rows[step + 1] = (t_next, mass, nu_min, nu_max, wm, w_max, speed_max)
         if (step + 1) % snap_every == 0 or step + 1 == n_steps:
             snapshots.append(ParticleEnsemble(
                 time=t_next, positions=pos.T.copy(), volumes=w.copy(),
                 intensities=nu.copy(), h=ens0.h))
 
-    keys = ("t", "mass", "nu_min", "nu_max", "w_min", "w_max", "speed_max")
-    series = {k: np.array(col, dtype=float) for k, col in zip(keys, zip(*rows))}
+    series = dict(zip(keys, table))
     mass_excess = max(0.0, float(np.max(series["mass"] - bound)))
     w_min = float(np.min(series["w_min"]))
     monitors = MonitorReport(

@@ -177,7 +177,12 @@ def moment_kernel(axis: int, name: str | None = None) -> Kernel:
     """psi(t, x, y) = y_axis: the non-local input is the measure's moment."""
 
     def _func(t, X, Y):
-        return np.broadcast_to(Y[None, :, axis], (X.shape[0], Y.shape[0]))
+        row = Y[None, :, axis]
+        # nonlocal_field evaluates an x-free kernel at one point, which
+        # needs no broadcast
+        if X.shape[0] == 1:
+            return row
+        return np.broadcast_to(row, (X.shape[0], Y.shape[0]))
 
     return Kernel(name=name or f"moment[{axis}]", func=_func, x_free=True)
 
@@ -313,12 +318,12 @@ def nonlocal_grad_field(kernel: Kernel, t: float, X: np.ndarray, Y: np.ndarray,
 
 def advection_inputs(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
                      alpha: np.ndarray) -> np.ndarray:
-    """Stack of advection non-local inputs, shape (n, n_a); (n, 0) for a
-    local model."""
-    if model.is_local:
-        return np.zeros((X.shape[0], 0))
-    cols = [nonlocal_field(k, t, X, Y, alpha) for k in model.kernels_a]
-    return np.stack(cols, axis=1)
+    """The advection non-local inputs, one column per kernel, shape
+    (n, n_a); (n, 0) for a local model."""
+    I = np.empty((X.shape[0], model.n_a))
+    for k, kernel in enumerate(model.kernels_a):
+        I[:, k] = nonlocal_field(kernel, t, X, Y, alpha)
+    return I
 
 
 def velocity_field(model: ModelSpec, t: float, X: np.ndarray,

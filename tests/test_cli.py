@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phenopart as pp
 from phenopart import cli, reference
 from phenopart.cli import load_config, main
 
@@ -572,6 +573,38 @@ def test_column_writer_matches_row_writer(table):
     new, old = _both_writers(header, columns)
     # refused exactly where the row writer quotes a cell
     assert new == (None if b'"' in old else old)
+
+
+def _stacked_snapshots(snapshots):
+    """The one table the snapshot writer once built and wrote: repeated
+    times before the concatenated state columns of every snapshot."""
+    header, _cols = cli._state_columns(snapshots[0])
+    times = np.repeat([snap.time for snap in snapshots],
+                      [snap.n for snap in snapshots])
+    stacked = zip(*(cli._state_columns(snap)[1] for snap in snapshots))
+    return ["t"] + header, [times] + [np.concatenate(col) for col in stacked]
+
+
+@pytest.mark.parametrize("profile, name, h, steps", [
+    ("one-minus-x", "advsel1d", 1 / 700, 10),
+    ("bump-pair", "twotrait2d", 1 / 70, 2),
+], ids=["1D", "2D"])
+def test_snapshot_writer_matches_stacked_table(tmp_path, profile, name, h,
+                                               steps):
+    """Streamed from the snapshots, the table has the bytes of write_csv on
+    the stacked copy, across block edges inside and between snapshots."""
+    prof = pp.build_profile(profile)
+    model = pp.build_model(name, prof.support)
+    ens = pp.partition_support(prof, model, h, T=steps * 1e-3)
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=steps * 1e-3,
+                                                 dt=1e-3))
+    rows = sum(snap.n for snap in traj.snapshots)
+    assert rows > cli._CSV_BLOCK and cli._CSV_BLOCK % ens.n
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    cli._write_snapshots(str(new), traj.snapshots)
+    cli.write_csv(str(old), *_stacked_snapshots(traj.snapshots))
+    assert new.read_bytes() == old.read_bytes()
+    assert new.read_bytes().count(b"\r\n") == rows + 1
 
 
 def test_column_writer_rejects_ragged_columns(tmp_path):

@@ -1,5 +1,7 @@
 """Particle integrator: closed forms, cross-checks, monitors, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,33 @@ class TestBookkeeping:
         assert len(times) == 45
         assert times[:3] == pytest.approx([0.0, 0.03, 0.06])
         assert times[-2:] == pytest.approx([1.29, 1.3])
+
+    def test_series_costs_its_float64_array(self, advsel_profile,
+                                            advsel_model):
+        """A 10 000-step run keeps its series as one float64 array and no
+        object per step: the traced peak stays under twice the bytes of
+        the series and the snapshots (a list of per-step tuples of Python
+        floats took about 7 times as much).  Each series value is a
+        C-contiguous float64 row, as the tobytes() comparisons need."""
+        ens = pp.partition_support(advsel_profile, advsel_model, 1 / 20,
+                                   T=10.0)
+        run = pp.RunConfig(t_final=10.0, dt=1e-3)
+        tracemalloc.start()
+        try:
+            traj = pp.integrate(advsel_model, ens, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.n == 20 and traj.n_steps == 10_000
+        series_bytes = 7 * 8 * (traj.n_steps + 1)
+        snapshot_bytes = sum(s.positions.nbytes + s.volumes.nbytes
+                             + s.intensities.nbytes for s in traj.snapshots)
+        assert peak < 2 * (series_bytes + snapshot_bytes)
+        assert len(traj.series) == 7
+        for key, values in traj.series.items():
+            assert values.dtype == np.float64, key
+            assert values.shape == (traj.n_steps + 1,), key
+            assert values.flags.c_contiguous, key
 
     def test_default_dt_respects_cell_crossing(self):
         assert pp.default_dt(1.0, 0.0) == 1e-3

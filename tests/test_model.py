@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import phenopart as pp
-from phenopart.model import nonlocal_field
+from phenopart.model import advection_inputs, nonlocal_field
 
 from conftest import make_ensemble, velocity_and_divergence
 
@@ -31,6 +31,23 @@ def test_moment_kernel_matches_direct_sum():
     out = nonlocal_field(ker, 0.0, ens.positions, ens.positions, alpha)
     direct = float(np.sum(alpha * ens.positions[:, 1]))
     assert out == pytest.approx(np.full(ens.n, direct), rel=1e-13)
+
+
+def test_moment_inputs_sum_the_kernel_rows():
+    """twotrait2d's advection inputs: one column per moment kernel, each
+    the row-wise weighted sum of the kernel's (n, m) values, bit for bit;
+    evaluated at one point, the kernel gives its one row."""
+    model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
+    ens = make_ensemble(40, seed=7, dim=2)
+    X, alpha = ens.positions, ens.alpha()
+    I = advection_inputs(model, 0.0, X, X, alpha)
+    assert I.shape == (40, 2) and I.flags.c_contiguous
+    for k, kernel in enumerate(model.kernels_a):
+        vals = kernel.func(0.0, X, X)
+        assert vals.shape == (40, 40)
+        assert kernel.func(0.0, X[:1], X).tolist() == vals[:1].tolist()
+        want = pp.pair_sum(vals * alpha[None, :], axis=-1)
+        assert I[:, k].tobytes() == want.tobytes()
 
 
 def test_function_kernel_matches_loop(random_ensemble):
