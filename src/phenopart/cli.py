@@ -363,8 +363,8 @@ def _cell(value) -> str:
 
 
 # rows formatted per block: only one block's cells are alive at a time, so
-# every table, the snapshots of a whole run included, is written in memory
-# bounded by one block and not by the length of the table
+# every file, the snapshots of a whole run included, is written in memory
+# bounded by one block and one table, not by the length of the file
 _CSV_BLOCK = 4096
 
 
@@ -394,29 +394,25 @@ def _unquoted(cells: list, width: int) -> list:
     return cells
 
 
-def _write_table(path: str, header, blocks) -> None:
-    """A CSV file: the header, then the rows of each block, a list of
-    equal-length cell lists; ","-joined cells, "\\r\\n"-ended lines."""
+def write_csv(path: str, header, tables) -> None:
+    """A CSV file: the header, then the rows of each table, one after
+    another; a table is a list of equal-length columns (numpy arrays or
+    sequences).  ","-joined cells, "\\r\\n"-ended lines.  `tables` is read
+    lazily, so a generator keeps one table alive at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_unquoted(list(header), len(header))) + "\r\n")
-        for cells in blocks:
-            # one line at a time, and no name holds a block's cells while
-            # the next block is formatted: a block joined into one text,
-            # or kept alive, raises the peak memory by that block
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
-            del cells
-
-
-def write_csv(path: str, header, columns) -> None:
-    """A CSV table from equal-length columns (numpy arrays or sequences):
-    ","-joined cells, "\\r\\n"-ended lines."""
-    n = len(columns[0]) if columns else 0
-    if any(len(col) != n for col in columns):
-        raise ValueError("CSV columns differ in length")
-    width = len(columns)
-    _write_table(path, header, (
-        [_column_cells(col[lo:lo + _CSV_BLOCK], width) for col in columns]
-        for lo in range(0, n, _CSV_BLOCK)))
+        for columns in tables:
+            n = len(columns[0]) if columns else 0
+            if any(len(col) != n for col in columns):
+                raise ValueError("CSV columns differ in length")
+            for lo in range(0, n, _CSV_BLOCK):
+                cells = [_column_cells(col[lo:lo + _CSV_BLOCK], len(columns))
+                         for col in columns]
+                # one line at a time, and no name holds a block's cells
+                # while the next block is formatted: a block joined into
+                # one text, or kept alive, raises the peak memory by it
+                fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+                del cells
 
 
 def write_report(path: str, pairs) -> None:
@@ -434,33 +430,21 @@ def write_manifest(cfg: configparser.ConfigParser, path: str) -> None:
         out.write(fh)
 
 
-def _state_columns(ens: ParticleEnsemble):
-    """Header and columns of the state table: label, position, w, nu, alpha."""
-    header = ["i"] + [f"x{k}" for k in range(ens.dim)] + ["w", "nu", "alpha"]
-    columns = ([np.arange(ens.n)] + list(ens.positions.T)
-               + [ens.volumes, ens.intensities, ens.alpha()])
-    return header, columns
+def _state_header(dim: int) -> list:
+    """Columns of the state table: label, position, w, nu.  The weight
+    alpha = w * nu is not written; `repr` round-trips, so a reader gets
+    it back bit for bit from the written w and nu."""
+    return ["i"] + [f"x{k}" for k in range(dim)] + ["w", "nu"]
 
 
-def _write_snapshots(path: str, snapshots) -> None:
-    """Every snapshot's state table, one after another, behind a time
-    column.  Written from the snapshots a block at a time, with no stacked
-    copy: the time cell is formatted once per snapshot, the labels once
-    per file."""
-    header, _cols = _state_columns(snapshots[0])
-    labels = [str(i) for i in range(max(snap.n for snap in snapshots))]
-    width = len(header) + 1
+def _state_table(ens: ParticleEnsemble) -> list:
+    return ([np.arange(ens.n)] + list(ens.positions.T)
+            + [ens.volumes, ens.intensities])
 
-    def blocks():
-        for snap in snapshots:
-            t = repr(float(snap.time))
-            columns = _state_columns(snap)[1][1:]
-            for lo in range(0, snap.n, _CSV_BLOCK):
-                hi = min(lo + _CSV_BLOCK, snap.n)
-                yield ([[t] * (hi - lo), labels[lo:hi]]
-                       + [_column_cells(col[lo:hi], width) for col in columns])
 
-    _write_table(path, ["t"] + header, blocks())
+def _snapshot_table(snap: ParticleEnsemble) -> list:
+    """A snapshot's state table behind its time column."""
+    return [np.full(snap.n, snap.time, dtype=float)] + _state_table(snap)
 
 
 def _monitor_pairs(mon, extremes: bool = True):
@@ -536,9 +520,13 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
 
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "series.csv"), list(traj.series),
-              list(traj.series.values()))
-    write_csv(os.path.join(out, "final.csv"), *_state_columns(fin))
-    _write_snapshots(os.path.join(out, "snapshots.csv"), traj.snapshots)
+              [list(traj.series.values())])
+    write_csv(os.path.join(out, "final.csv"), _state_header(fin.dim),
+              [_state_table(fin)])
+    # one table per snapshot, built as the writer reaches it
+    write_csv(os.path.join(out, "snapshots.csv"),
+              ["t"] + _state_header(fin.dim),
+              map(_snapshot_table, traj.snapshots))
 
     report = [("n_particles", fin.n), ("h", h), ("dt", traj.dt),
               ("n_steps", traj.n_steps), ("t_final", t_final),
@@ -599,7 +587,7 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     write_csv(os.path.join(out, "errors.csv"),
               ["h", "eps", "n_particles", "l1_error", "weighted_error",
                "mass_excess", "support_excess"],
-              list(zip(*rows)))
+              [list(zip(*rows))])
 
     l1 = [row[3] for row in rows]
     weighted = [row[4] for row in rows]
@@ -653,7 +641,7 @@ def _self_converge(cfg, out, model, cutoff, run, h_list, workers) -> int:
 
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "errors.csv"), ["h", "l1_error"],
-              [hs, errors])
+              [[hs, errors]])
     write_report(os.path.join(out, "report.txt"), [
         ("t_final", t_final), ("reference", "self"),
         ("truth_h", truth_h),
@@ -708,11 +696,11 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
     os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "gaps.csv"),
               ["n", "h", "weak_gap", "n_clusters", "total_mass",
-               "conclusive", "monitors_ok"], list(zip(*gap_rows)))
+               "conclusive", "monitors_ok"], [list(zip(*gap_rows))])
     write_csv(os.path.join(out, "clusters.csv"),
               ["n", "cluster"] + [f"center{k}" for k in range(model.dim)]
               + ["mass"],
-              list(zip(*cluster_rows)))
+              [list(zip(*cluster_rows))])
 
     report = [
         ("t_final", t_final), ("verdict", verdict.verdict),
@@ -720,7 +708,9 @@ def cmd_asymptote(cfg, out: str, workers: int) -> int:
         ("oracle_mass", sol.mass()), ("oracle_dx", sol.dx),
         ("oracle_refinements", len(history) - 1),
     ]
-    main, _predicted, summary = _cluster_summary(model, rep)
+    # the main cluster of the finest run, wherever n_list lists it
+    *_rest, finest, _recon = members[n_list.index(max(n_list))]
+    main, _predicted, summary = _cluster_summary(model, finest)
     if main is not None:
         report.append(("main_cluster_center",
                        " ".join(repr(float(c)) for c in main[0])))
@@ -773,8 +763,9 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
         sub = os.path.join(out, name)
         os.makedirs(sub, exist_ok=True)
         write_csv(os.path.join(sub, "series.csv"), list(series),
-                  list(series.values()))
-        write_csv(os.path.join(sub, "final.csv"), *_state_columns(fin))
+                  [list(series.values())])
+        write_csv(os.path.join(sub, "final.csv"), _state_header(fin.dim),
+                  [_state_table(fin)])
         report = [("scenario", name), ("t_final", t_final),
                   ("final_mass", final_mass),
                   ("conclusive", rep.conclusive),
@@ -799,7 +790,7 @@ def cmd_reproduce(cfg, out: str, workers: int) -> int:
               ["scenario", "final_mass", "n_clusters", "cluster0_center",
                "cluster0_mass", "predicted_limit_mass", "conclusive",
                "monitors_ok"],
-              list(zip(*summary_rows)))
+              [list(zip(*summary_rows))])
     line_plot(os.path.join(out, "masses.svg"), mass_series,
               title="total mass per scenario", xlabel="t", ylabel="mass")
     return 0

@@ -359,15 +359,13 @@ def refine_until_stable(model: ModelSpec, v0: InitialDensity,
     The dominant long-time error sources scale with dx and dt, so they are
     refined together.
     """
-    sol = solve_reference(model, v0, cfg, T)
-    history = [(cfg.dx, sol.mass())]
+    history = [(cfg.dx, solve_reference(model, v0, cfg, T).mass())]
     for _ in range(max_levels):
         cfg = replace(cfg, dx=cfg.dx / 2.0, dt=cfg.dt / 2.0)
-        nxt = solve_reference(model, v0, cfg, T)
-        history.append((cfg.dx, nxt.mass()))
+        sol = solve_reference(model, v0, cfg, T)
+        history.append((cfg.dx, sol.mass()))
         if abs(history[-1][1] - history[-2][1]) <= target:
-            return nxt, history
-        sol = nxt
+            return sol, history
     raise OracleError(
         f"reference mass did not stabilize to {target:g} within "
         f"{max_levels} refinements: {history}")

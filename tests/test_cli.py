@@ -126,8 +126,31 @@ def test_simulate_artifacts(tmp_path):
     assert rep["monitors_ok"] == "true"
     assert float(rep["final_mass"]) > 0
     with open(os.path.join(out, "snapshots.csv")) as fh:
-        times = {line.split(",")[0] for line in fh.readlines()[1:]}
-    assert len(times) >= 2
+        lines = fh.readlines()
+    assert lines[0] == "t,i,x0,w,nu\n"
+    assert len({line.split(",")[0] for line in lines[1:]}) >= 2
+    with open(os.path.join(out, "final.csv")) as fh:
+        assert fh.readline() == "i,x0,w,nu\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+def test_every_csv_goes_through_write_csv(tmp_path, monkeypatch, command):
+    written = []
+    write_csv = cli.write_csv
+
+    def recorder(path, header, tables):
+        written.append(os.path.relpath(path, out))
+        write_csv(path, header, tables)
+
+    monkeypatch.setattr(cli, "write_csv", recorder)
+    monkeypatch.setenv("PHENOPART_REPRODUCE__N", "30")
+    monkeypatch.setenv("PHENOPART_REPRODUCE__T_FINAL", "0.1")
+    out = str(tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path, SIM_CFG),
+                 "--out", out]) == 0
+    on_disk = [name for name in _tree_bytes(out) if name.endswith(".csv")]
+    assert len(on_disk) >= 3
+    assert sorted(written) == sorted(on_disk)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -189,6 +212,22 @@ def test_self_convergence_rejects_fixed_eps(tmp_path, capsys):
     code = main(["converge", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 2
     assert "eps" in capsys.readouterr().err
+
+
+def test_asymptote_reports_the_finest_run(tmp_path):
+    """The main cluster of report.txt is the largest n's, in whatever order
+    n_list lists the counts."""
+    text = (ASYMPTOTE_CFG.replace("t_final = 2.0", "t_final = 20.0\ndt = 1e-2")
+            .replace("dx = 1/200", "dx = 1/50").replace("dt = 4e-3", "dt = 5e-2")
+            .replace("target = 1e-2", "target = 1"))
+    reports = []
+    for n_list in ("20, 40", "40, 20"):
+        cfg = _write(tmp_path, text.replace("50, 100, 200", n_list))
+        out = tmp_path / n_list.replace(", ", "-")
+        assert main(["asymptote", "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "report.txt").read_text())
+    assert reports[0] == reports[1]
+    assert "main_cluster_center" in reports[0]
 
 
 def test_asymptote_artifacts(tmp_path):
@@ -492,7 +531,7 @@ def _both_writers(header, columns):
         with open(old, "rb") as fh:
             old_bytes = fh.read()
         try:
-            cli.write_csv(new, header, columns)
+            cli.write_csv(new, header, [columns])
         except ValueError as exc:
             assert "quoting" in str(exc)
             return None, old_bytes
@@ -578,11 +617,10 @@ def test_column_writer_matches_row_writer(table):
 def _stacked_snapshots(snapshots):
     """The one table the snapshot writer once built and wrote: repeated
     times before the concatenated state columns of every snapshot."""
-    header, _cols = cli._state_columns(snapshots[0])
     times = np.repeat([snap.time for snap in snapshots],
                       [snap.n for snap in snapshots])
-    stacked = zip(*(cli._state_columns(snap)[1] for snap in snapshots))
-    return ["t"] + header, [times] + [np.concatenate(col) for col in stacked]
+    stacked = zip(*(cli._state_table(snap) for snap in snapshots))
+    return [[times] + [np.concatenate(col) for col in stacked]]
 
 
 @pytest.mark.parametrize("profile, name, h, steps", [
@@ -591,8 +629,9 @@ def _stacked_snapshots(snapshots):
 ], ids=["1D", "2D"])
 def test_snapshot_writer_matches_stacked_table(tmp_path, profile, name, h,
                                                steps):
-    """Streamed from the snapshots, the table has the bytes of write_csv on
-    the stacked copy, across block edges inside and between snapshots."""
+    """Streamed through write_csv one snapshot table at a time, the file
+    has the bytes of write_csv on the stacked copy, across block edges
+    inside and between snapshots."""
     prof = pp.build_profile(profile)
     model = pp.build_model(name, prof.support)
     ens = pp.partition_support(prof, model, h, T=steps * 1e-3)
@@ -601,8 +640,9 @@ def test_snapshot_writer_matches_stacked_table(tmp_path, profile, name, h,
     rows = sum(snap.n for snap in traj.snapshots)
     assert rows > cli._CSV_BLOCK and cli._CSV_BLOCK % ens.n
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    cli._write_snapshots(str(new), traj.snapshots)
-    cli.write_csv(str(old), *_stacked_snapshots(traj.snapshots))
+    header = ["t"] + cli._state_header(ens.dim)
+    cli.write_csv(str(new), header, map(cli._snapshot_table, traj.snapshots))
+    cli.write_csv(str(old), header, _stacked_snapshots(traj.snapshots))
     assert new.read_bytes() == old.read_bytes()
     assert new.read_bytes().count(b"\r\n") == rows + 1
 
@@ -610,4 +650,4 @@ def test_snapshot_writer_matches_stacked_table(tmp_path, profile, name, h,
 def test_column_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         cli.write_csv(str(tmp_path / "x.csv"), ["a", "b"],
-                      [np.zeros(3), [1, 2]])
+                      [[np.zeros(3), [1, 2]]])

@@ -123,6 +123,27 @@ def test_zero_tolerance_cannot_contract(monkeypatch):
         pp.solve_reference(model, prof, cfg, 0.1)
 
 
+def test_halved_steps_contract_and_stay_accurate(monkeypatch, advsel_profile,
+                                                 advsel_model):
+    """A step that does not contract within the iteration cap is halved
+    until it does; the solve succeeds, keeps one mass sample per outer
+    step, and lands closer to a fine-step solve than the unforced one."""
+    def solve(dt):
+        cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 400, dt=dt)
+        return pp.solve_reference(advsel_model, advsel_profile, cfg, 1.0)
+
+    fine, unforced = solve(1e-3), solve(0.1)
+    assert unforced.subdivisions == 0
+    monkeypatch.setattr(reference, "MAX_FIXED_POINT_ITER", 9)
+    halved = solve(0.1)
+    assert halved.subdivisions == 17
+    assert halved.fixed_point_iters_max == 9
+    assert len(halved.rho_times) == len(unforced.rho_times) == 11
+    assert halved.mass() == pytest.approx(4.484140, abs=1e-6)
+    assert (abs(halved.mass() - fine.mass())
+            < abs(unforced.mass() - fine.mass()))
+
+
 def test_oracle_rejects_unsupported_models(advsel_profile):
     nl = pp.build_model("nldrift1d", pp.Box([0.0], [1.0]))
     cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.1, dt=1e-2)
