@@ -17,7 +17,14 @@ eps(h) = h^{kappa/(kappa+r)}, which is how the exponent q of
 
 Cutoffs are product-form in d dimensions: phi(x) = prod_k profile(x_k).
 All profiles have compact support (the analytic Gaussian is hard-zeroed
-beyond |u| = 9, where its tail is below 1e-17 per factor).
+beyond |u| = 9, where its tail is below 1e-17 per factor).  A profile is
+called as `profile(u, out=None) -> out`.  Given `out`, it writes its values
+there with `out=` ufuncs, may overwrite `u` as scratch, and allocates no
+float array (its support masks take one byte per entry); given no `out`, it
+allocates the result and leaves `u` alone.  So `_kernel_sum` owns its tile
+buffers, at most three of `_GRID_CHUNK x _PARTICLE_CHUNK` floats (the
+offsets, the weights and, for d >= 2, one more axis factor), allocated once
+per call and reused for every grid tile and particle block.
 """
 
 from __future__ import annotations
@@ -49,7 +56,12 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class CutoffSpec:
     """One cutoff profile: 1D shape, moment order, support radius, kinks.
 
-    `profile` maps (n,) -> (n,) and must vanish for |u| > radius.
+    `profile(u, out=None) -> out` evaluates the shape at every entry of `u`
+    and must give 0 where |u| > radius.  With `out` (a float array of u's
+    shape) it writes the values there, may overwrite `u` as scratch, and
+    allocates no float array, only one-byte support masks: this is how
+    `_kernel_sum` reuses its tile buffers.  With no `out` it allocates the
+    result and leaves `u` unchanged.
     `breakpoints` lists interior non-smooth points (used by the moment
     quadrature); `r_order` is the claimed moment order: integral phi = 1 and
     all moments up to r_order - 1 vanish.
@@ -62,40 +74,73 @@ class CutoffSpec:
     breakpoints: tuple = ()
 
 
-def _gaussian_profile(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.exp(-0.5 * u * u) / _SQRT2PI
-    return np.where(np.abs(u) <= 9.0, out, 0.0)
+def _operands(u, out):
+    """`u` and `out` for a profile to work in: with no `out`, a fresh result
+    and a copy of `u`, so that the caller's `u` stays as it was."""
+    if out is None:
+        u = np.array(u, dtype=float)
+        out = np.empty_like(u)
+    return u, out
+
+
+def _gaussian_profile(u, out=None):
+    u, out = _operands(u, out)
+    np.multiply(-0.5, u, out=out)
+    np.multiply(out, u, out=out)
+    np.exp(out, out=out)
+    np.divide(out, _SQRT2PI, out=out)
+    out[np.abs(u, out=u) > 9.0] = 0.0
+    return out
 
 
 # renormalized hard truncation at |u| <= 5: zeroth moment is exactly 1
 _TRUNC_NORM = 0.9999994266968563  # erf(5/sqrt(2))
 
 
-def _gaussian_trunc_profile(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.exp(-0.5 * u * u) / (_SQRT2PI * _TRUNC_NORM)
-    return np.where(np.abs(u) <= 5.0, out, 0.0)
-
-
-def _bspline3_profile(u: np.ndarray) -> np.ndarray:
-    # cubic B-spline on [-2, 2], C^2, unit mass
-    a = np.abs(np.asarray(u, dtype=float))
-    out = np.zeros_like(a)
-    inner = a <= 1.0
-    outer = (a > 1.0) & (a < 2.0)
-    ai = a[inner]
-    ao = a[outer]
-    out[inner] = 2.0 / 3.0 - ai * ai + 0.5 * ai ** 3
-    out[outer] = (2.0 - ao) ** 3 / 6.0
+def _gaussian_trunc_profile(u, out=None):
+    u, out = _operands(u, out)
+    np.multiply(-0.5, u, out=out)
+    np.multiply(out, u, out=out)
+    np.exp(out, out=out)
+    np.divide(out, _SQRT2PI * _TRUNC_NORM, out=out)
+    out[np.abs(u, out=u) > 5.0] = 0.0
     return out
 
 
-def _gaussian4_profile(u: np.ndarray) -> np.ndarray:
+def _bspline3_profile(u, out=None):
+    # cubic B-spline on [-2, 2], C^2, unit mass
+    u, out = _operands(u, out)
+    a = np.abs(u, out=u)
+    inner = a <= 1.0
+    outer = a < 2.0
+    outer ^= inner  # 1 < a < 2
+    out.fill(0.0)
+    np.subtract(2.0, a, out=out, where=outer)
+    np.power(out, 3, out=out, where=outer)
+    np.divide(out, 6.0, out=out, where=outer)
+    # 2/3 - a^2 + a^3/2; a^3 is the power, whose bits differ from a*a*a
+    np.multiply(a, a, out=out, where=inner)
+    np.subtract(2.0 / 3.0, out, out=out, where=inner)
+    np.power(a, 3, out=a, where=inner)
+    np.multiply(0.5, a, out=a, where=inner)
+    np.add(out, a, out=out, where=inner)
+    return out
+
+
+def _gaussian4_profile(u, out=None):
     # fourth-order kernel: (3/2 - u^2/2) * standard Gaussian
-    u = np.asarray(u, dtype=float)
-    out = (1.5 - 0.5 * u * u) * np.exp(-0.5 * u * u) / _SQRT2PI
-    return np.where(np.abs(u) <= 9.0, out, 0.0)
+    u, out = _operands(u, out)
+    np.multiply(0.5, u, out=out)
+    np.multiply(out, u, out=out)
+    beyond = np.abs(u, out=u) > 9.0
+    # -(u/2 * u) has the bits of (-u/2) * u: rounding is symmetric in sign
+    np.negative(out, out=u)
+    np.exp(u, out=u)
+    np.subtract(1.5, out, out=out)
+    np.multiply(out, u, out=out)
+    np.divide(out, _SQRT2PI, out=out)
+    out[beyond] = 0.0
+    return out
 
 
 CUTOFFS = {
@@ -156,7 +201,7 @@ def verify_moments(phi: CutoffSpec, r: int | None = None) -> MomentReport:
 
 
 # the particle block fixes the order in which each grid row accumulates; the
-# grid tile only bounds the size of the temporaries (rows are independent)
+# grid tile only bounds the size of the tile buffers (rows are independent)
 _GRID_CHUNK = 128
 _PARTICLE_CHUNK = 512
 
@@ -173,9 +218,16 @@ def _kernel_sum(grid: np.ndarray, positions: np.ndarray, coef: np.ndarray,
     point too, the profile is exactly 0 there, and the block would add only
     signed zeros to a row, which leaves it unchanged.  The result is
     therefore bit-identical to the dense sum over every pair.
+
+    The offsets U, the weights W and, for d >= 2, the factor F of each
+    further axis live in tile buffers allocated once per call.  A partial
+    tile or block uses a leading slice of each, contiguous like a fresh
+    array, so its reduction runs as it would on one.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and np.all(np.isfinite(grid))):
+        raise ValueError("kernel sum needs a finite grid and eps")
     if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(coef))):
         raise ValueError("kernel sum needs finite particle positions and "
                          "coefficients")
@@ -185,6 +237,9 @@ def _kernel_sum(grid: np.ndarray, positions: np.ndarray, coef: np.ndarray,
     starts = np.arange(0, positions.shape[0], _PARTICLE_CHUNK)
     p_lo = np.minimum.reduceat(positions, starts, axis=0)
     p_hi = np.maximum.reduceat(positions, starts, axis=0)
+    # U, W and F; with d = 1, F is never written, so it is never paged in
+    buffers = np.empty((3, min(G, _GRID_CHUNK)
+                        * min(positions.shape[0], _PARTICLE_CHUNK)))
     for gs in range(0, G, _GRID_CHUNK):
         gb = grid[gs:gs + _GRID_CHUNK]
         far = (((gb.min(axis=0) - p_hi) / eps > phi.radius)
@@ -193,11 +248,17 @@ def _kernel_sum(grid: np.ndarray, positions: np.ndarray, coef: np.ndarray,
         for ps in starts[~far]:
             pb = positions[ps:ps + _PARTICLE_CHUNK]
             cb = coef[ps:ps + _PARTICLE_CHUNK]
-            U = (gb[:, None, :] - pb[None, :, :]) / eps
-            W = phi.profile(U[..., 0])
-            for k in range(1, d):
-                W = W * phi.profile(U[..., k])
-            acc += pair_sum(W * cb[None, :], axis=-1)
+            rows, cols = gb.shape[0], pb.shape[0]
+            U, W, F = buffers[:, :rows * cols].reshape(3, rows, cols)
+            for k in range(d):
+                np.subtract(gb[:, k, None], pb[:, k], out=U)
+                np.divide(U, eps, out=U)
+                if k == 0:
+                    phi.profile(U, out=W)
+                else:
+                    W *= phi.profile(U, out=F)
+            W *= cb
+            acc += pair_sum(W, axis=-1)
         out[gs:gs + _GRID_CHUNK] = acc * scale
     return out
 

@@ -168,13 +168,67 @@ def _dense_kernel_sum(grid, positions, coef, phi, eps):
     return out
 
 
+def _frozen_bspline3(u):
+    a = np.abs(u)
+    out = np.zeros_like(a)
+    inner = a <= 1.0
+    outer = (a > 1.0) & (a < 2.0)
+    ai = a[inner]
+    ao = a[outer]
+    out[inner] = 2.0 / 3.0 - ai * ai + 0.5 * ai ** 3
+    out[outer] = (2.0 - ao) ** 3 / 6.0
+    return out
+
+
+# the profiles as they were written before they evaluated into `out`
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+FROZEN_PROFILES = {
+    "gaussian": lambda u: np.where(
+        np.abs(u) <= 9.0, np.exp(-0.5 * u * u) / _SQRT2PI, 0.0),
+    "gaussian-trunc": lambda u: np.where(
+        np.abs(u) <= 5.0,
+        np.exp(-0.5 * u * u) / (_SQRT2PI * 0.9999994266968563), 0.0),
+    "bspline3": _frozen_bspline3,
+    "gaussian4": lambda u: np.where(
+        np.abs(u) <= 9.0,
+        (1.5 - 0.5 * u * u) * np.exp(-0.5 * u * u) / _SQRT2PI, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_in_place_profile_matches_frozen_expression(name):
+    """At the support edge, one step beyond it, signed zeros, subnormals,
+    +-1e300 and across the support, `profile(u, out)` fills every entry of
+    `out` with the bits of the old expression, and returns `out`; with no
+    `out` it gives the same bits and leaves `u` as it was."""
+    phi = CUTOFFS[name]
+    r = phi.radius
+    tiny = np.finfo(float).smallest_subnormal
+    u = np.concatenate([
+        [r, -r, np.nextafter(r, np.inf), np.nextafter(-r, -np.inf),
+         0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300],
+        [np.nextafter(b, s) for b in phi.breakpoints
+         for s in (-np.inf, np.inf)], phi.breakpoints,
+        np.linspace(-r - 1.0, r + 1.0, 1001)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = FROZEN_PROFILES[name](u)
+        out = np.full_like(u, np.nan)
+        # with `out` the profile may overwrite its `u`
+        assert phi.profile(u.copy(), out) is out
+        kept = u.copy()
+        fresh = phi.profile(u)
+    assert out.tobytes() == expect.tobytes()
+    assert fresh.tobytes() == expect.tobytes()
+    assert u.tobytes() == kept.tobytes()
+
+
 def _counting(phi):
     """`phi` with a profile that tallies the values it is asked for."""
     calls = []
 
-    def profile(u):
+    def profile(u, out=None):
         calls.append(np.size(u))
-        return phi.profile(u)
+        return phi.profile(u, out)
 
     return dataclasses.replace(phi, profile=profile), calls
 
@@ -197,6 +251,37 @@ def test_kernel_sum_matches_dense_bit_for_bit(d, name, n, rows, log_eps,
     got = _kernel_sum(grid, positions, coef, phi, eps)
     assert got.tobytes() == _dense_kernel_sum(
         grid, positions, coef, phi, eps).tobytes()
+
+
+@pytest.mark.parametrize("n", [3200, 3201])
+def test_kernel_sum_matches_dense_at_converge_fine_shapes(n):
+    """`converge-fine`'s finest run: 12 001 rows on [-0.25, 1.25] (93 full
+    tiles and one of 97 rows) against a lattice of n particles with
+    eps = h^0.5.  At n = 3201 the last block holds one particle.  A stale
+    value left in a reused tile buffer would change bits here."""
+    h = 1.0 / n
+    positions = ((np.arange(n) + 0.5) * h)[:, None]
+    coef = h * np.random.default_rng(n).uniform(0.5, 1.5, size=n)
+    grid = np.arange(-0.25, 1.25 + 1e-9, 1.0 / 8000)[:, None]
+    assert grid.shape[0] == 93 * 128 + 97
+    phi, eps = CUTOFFS["gaussian"], h ** 0.5
+    got = _kernel_sum(grid, positions, coef, phi, eps)
+    assert got.tobytes() == _dense_kernel_sum(
+        grid, positions, coef, phi, eps).tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_kernel_sum_matches_dense_on_partial_2d_tiles(name):
+    """2D, 300 rows (two full tiles and one of 44) against 1100 particles
+    (two full blocks and one of 76): the axis-factor buffer is reused too."""
+    rng = np.random.default_rng(17)
+    positions = rng.uniform(0.0, 1.0, size=(1100, 2))
+    coef = rng.normal(size=1100)
+    grid = rng.uniform(-0.5, 1.5, size=(300, 2))
+    phi = CUTOFFS[name]
+    got = _kernel_sum(grid, positions, coef, phi, 0.3)
+    assert got.tobytes() == _dense_kernel_sum(
+        grid, positions, coef, phi, 0.3).tobytes()
 
 
 @pytest.mark.parametrize("name", ALL_CUTOFFS)
@@ -245,14 +330,21 @@ def test_kernel_sum_skips_most_far_pairs():
 
 @pytest.mark.parametrize("where, bad", [
     ("positions", np.nan), ("positions", -np.inf),
-    ("coef", np.nan), ("coef", np.inf)])
+    ("coef", np.nan), ("coef", np.inf),
+    ("grid", np.nan), ("grid", np.inf),
+    ("eps", np.nan), ("eps", np.inf)])
 def test_kernel_sum_rejects_non_finite_particles(where, bad):
+    """A NaN grid row would read as zero density and an infinite eps as
+    zero everywhere: non-finite inputs are refused, not summed."""
     ens = make_ensemble(30, seed=2)
-    args = {"positions": ens.positions.copy(), "coef": ens.alpha()}
-    args[where][7] = bad
-    grid = np.linspace(0.0, 1.0, 50)[:, None]
+    args = {"positions": ens.positions.copy(), "coef": ens.alpha(),
+            "grid": np.linspace(0.0, 1.0, 50)[:, None], "eps": 0.1}
+    if where == "eps":
+        args["eps"] = bad
+    else:
+        args[where][7] = bad
     with pytest.raises(ValueError, match="finite"):
-        _kernel_sum(grid, phi=CUTOFFS["gaussian"], eps=0.1, **args)
+        _kernel_sum(phi=CUTOFFS["gaussian"], **args)
 
 
 def test_project_rejects_non_finite_values():
