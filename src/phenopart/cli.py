@@ -41,8 +41,8 @@ from .discretize import (PROFILES, ParticleEnsemble, active_box,
                          build_profile, partition_support)
 from .dynamics import RunConfig, integrate
 from .model import MODELS, build_model
-from .reference import (ReferenceConfig, l1_distance, refine_until_stable,
-                        solve_reference)
+from .reference import (OracleError, ReferenceConfig, check_scope,
+                        l1_distance, refine_until_stable, solve_reference)
 from .regularize import build_cutoff, epsilon_rule, reconstruct
 from .svgplot import PlotSeries, line_plot
 
@@ -334,11 +334,11 @@ def _reference_config(cfg) -> ReferenceConfig:
 
 
 def _oracle_config(cfg, model) -> ReferenceConfig:
-    """The grid reference of a 1D model with local advection."""
-    if model.dim != 1:
-        raise UsageError("the grid reference covers 1D models only")
-    if not model.is_local:
-        raise UsageError("the grid reference requires local advection")
+    """The grid reference of a model in the oracle's scope."""
+    try:
+        check_scope(model)
+    except OracleError as exc:
+        raise UsageError(str(exc)) from exc
     return _reference_config(cfg)
 
 

@@ -6,25 +6,27 @@ backward characteristic foot Y(t_n; t_{n+1}, x) the density satisfies
     v(t_{n+1}, x) = v(t_n, Y) exp( int (R - div a) )  +  mutation influx,
 
 and one step of the scheme freezes the non-local inputs through a fixed-point
-iteration on the new time level:
+iteration on the new time level.  Its pieces:
 
-- feet by backward RK4 on dx/dt = a(t, x) (sub-stepped to <= 1e-3)
-- exponent by the trapezoid rule, E = dt/2 [G(t_n, Y) + G(t_{n+1}, x)] with
-  G = R(., ., I_g) - div a, the t_n part frozen, the t_{n+1} part updated
-  from the current iterate
-- mutation source by the trapezoid rule in time
-- v(t_n, .) evaluated at feet by our own monotone cubic, the Fritsch-Carlson
-  PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) with Moler's
-  one-sided three-point end slopes (Numerical Computing with MATLAB, 3.6);
-  it cannot overshoot local extrema, so non-negative data stays
-  non-negative; feet outside the grid read 0
-- iteration stops when the L1 update drops below
-  FIXED_POINT_RTOL (1 + mass); no contraction within MAX_FIXED_POINT_ITER
-  iterations halves the sub-interval, and sub-intervals below MIN_DT abort
+- `_feet`: backward RK4 on dx/dt = a(t, x) (sub-stepped to <= 1e-3)
+- `_transport`: v(t_n, .) at the feet by our own monotone cubic, the
+  Fritsch-Carlson PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980)
+  with Moler's one-sided three-point end slopes (Numerical Computing with
+  MATLAB, 3.6); it cannot overshoot local extrema, so non-negative data
+  stays non-negative; feet outside the grid read 0
+- `_exponent`: G = R(., ., I_g) - div a, by the trapezoid rule
+  E = dt/2 [G(t_n, Y) + G(t_{n+1}, x)], the t_n part frozen
+- `_source`: the mutation influx int m(., ., z, I_d) v(z) dz, by the
+  trapezoid rule in time
+- `_clip`: without mutation, zero outside the flowed support, which stops
+  interpolation bleed across the support-edge jump cell
+- `_fixed_point` stops when the L1 update drops below FIXED_POINT_RTOL
+  (1 + mass); `_advance` halves a sub-interval that does not contract
+  within MAX_FIXED_POINT_ITER iterations, down to MIN_DT
 
 Every grid density travels with its support-weighted values
 wv = _support_weights(v, dx) * v, computed once, from which the masses and
-all grid integrals are read.
+all grid integrals are read; a `_State` holds both and the support edges.
 
 This solver shares no code path with the particle dynamics (grid transport
 vs. interacting particles), which is what makes it usable as an oracle.
@@ -59,6 +61,14 @@ _ROW_CHUNK = 2048            # query rows per dense grid-integral block
 
 class OracleError(RuntimeError):
     """The reference solver could not reach the requested accuracy."""
+
+
+def check_scope(model: ModelSpec) -> None:
+    """Refuse a model outside the oracle's scope: 1D, local advection."""
+    if model.dim != 1:
+        raise OracleError("the grid reference covers 1D models only")
+    if not model.is_local:
+        raise OracleError("the grid reference requires local advection")
 
 
 @dataclass(frozen=True)
@@ -189,14 +199,9 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
 
 
 def characteristics(model: ModelSpec, y, t0: float, t1: float):
-    """Flow map X(t1; t0, y) of the local advection field.
-
-    Fixed-step RK4 with steps of at most 1e-3, the dynamics default.
-    """
-    if model.dim != 1:
-        raise OracleError("characteristics: 1D models only")
-    if not model.is_local:
-        raise OracleError("characteristics requires local advection")
+    """Flow map X(t1; t0, y) of the local advection field, by fixed-step
+    RK4 with steps of at most 1e-3, the oracle's own cap."""
+    check_scope(model)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     out = _rk4_flow(model, y_arr, t0, t1, _substeps(abs(t1 - t0)))
     return float(out[0]) if np.isscalar(y) or out.shape == (1,) else out
@@ -242,112 +247,132 @@ def _grid_nonlocal(kernel: Kernel, t: float, xq: np.ndarray, grid: np.ndarray,
                      xq.shape[0], wv)
 
 
+@dataclass
+class _State:
+    """A time level: v, wv and the flowed support edges (None: mutation)."""
+
+    v: np.ndarray
+    wv: np.ndarray
+    edges: np.ndarray | None
+
+
+@dataclass
+class _Stats:
+    """What a solve reports besides the density."""
+
+    min_seen: float
+    iters_max: int = 0
+    subdivisions: int = 0
+
+
+def _feet(model, x, edges, t, Dt):
+    """The nodes' backward feet over [t, t + Dt], the edges flowed forward
+    on the same substeps, and the nodes between them (None: mutation)."""
+    n_sub = _substeps(Dt)
+    feet = _rk4_flow(model, x, t + Dt, t, n_sub)
+    if edges is None:
+        return feet, None, None
+    edges = _rk4_flow(model, edges, t, t + Dt, n_sub)
+    keep = (x >= edges[0]) & (x <= edges[1])
+    if np.count_nonzero(keep) < 2:
+        # a lone node has zero trapezoid weight: mass and I_g would read 0
+        raise OracleError(f"support [{edges[0]:.6g}, {edges[1]:.6g}] holds "
+                          f"fewer than two grid nodes at t={t + Dt:.6g}; "
+                          "refine dx")
+    return feet, edges, keep
+
+
+def _transport(x, v, feet):
+    base = PchipInterpolator(x, v)(feet)
+    return np.where(np.isnan(base), 0.0, base)
+
+
+def _exponent(model, x, t, pts, wv):
+    I = _grid_nonlocal(model.kernel_g, t, pts, x, wv)
+    R = np.asarray(model.growth(t, pts[:, None], I))
+    div = np.asarray(model.advection_div_x(
+        t, pts[:, None], np.zeros((pts.shape[0], model.n_a))))
+    return R - div
+
+
+def _source(model, x, t, pts, wv):
+    I_d = _grid_nonlocal(model.kernel_d, t, pts, x, wv)
+    return _row_sums(
+        lambda s, e: model.mutation(t, pts[s:e, None], x[:, None], I_d[s:e]),
+        pts.shape[0], wv)
+
+
+def _clip(v, keep):
+    return v if keep is None else np.where(keep, v, 0.0)
+
+
+def _fixed_point(model, x, dx, old, t, Dt, stats):
+    """The state at t + Dt, or None if the iteration does not contract."""
+    feet, edges, keep = _feet(model, x, old.edges, t, Dt)
+    base = _transport(x, old.v, feet)
+    G0 = _exponent(model, x, t, feet, old.wv)
+    S0 = None if model.mutation is None else _source(model, x, t, feet, old.wv)
+    tol = FIXED_POINT_RTOL * (1.0 + float(pair_sum(old.wv)))
+    u, wu = old.v, old.wv
+    for it in range(MAX_FIXED_POINT_ITER):
+        G1 = _exponent(model, x, t + Dt, x, wu)
+        wfac = np.exp(0.5 * Dt * (G0 + G1))
+        v_new = wfac * base
+        if S0 is not None:
+            S1 = _source(model, x, t + Dt, x, wu)
+            v_new = v_new + 0.5 * Dt * (wfac * S0 + S1)
+        v_new = _clip(v_new, keep)
+        delta = float(pair_sum(np.abs(v_new - u))) * dx
+        u, wu = v_new, _support_weights(v_new, dx) * v_new
+        if delta < tol:
+            stats.iters_max = max(stats.iters_max, it + 1)
+            mn = float(np.min(u))
+            stats.min_seen = min(stats.min_seen, mn)
+            if mn < -1e-10 * max(float(np.max(u)), 1e-300):
+                raise OracleError(
+                    f"negative density {mn:.3e} at t={t + Dt:.6g}")
+            return _State(u, wu, edges)
+    return None
+
+
+def _advance(model, x, dx, old, t, Dt, stats):
+    """The state at t + Dt, halving sub-intervals that do not contract."""
+    if Dt < MIN_DT:
+        raise OracleError(
+            f"fixed point failed to contract above dt={MIN_DT:g} "
+            f"(reached {Dt:g} at t={t:.6g})")
+    new = _fixed_point(model, x, dx, old, t, Dt, stats)
+    if new is None:
+        stats.subdivisions += 1
+        half = _advance(model, x, dx, old, t, 0.5 * Dt, stats)
+        new = _advance(model, x, dx, half, t + 0.5 * Dt, 0.5 * Dt, stats)
+    return new
+
+
 def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
                     T: float) -> ReferenceSolution:
     """March the grid density from 0 to T; see the module docstring."""
-    if model.dim != 1:
-        raise OracleError("reference solver covers 1D models only")
-    if not model.is_local:
-        raise OracleError("reference solver requires local advection")
-
+    check_scope(model)
     G = int(round((cfg.x_hi - cfg.x_lo) / cfg.dx))
     x = cfg.x_lo + cfg.dx * np.arange(G + 1)
     v = v0(x[:, None])
-
-    has_mut = model.mutation is not None
-    min_seen = float(np.min(v))
-    state = {"iters_max": 0, "subdiv": 0}
-
-    def weigh(dens):
-        return _support_weights(dens, cfg.dx) * dens
-
-    def source_at(t, pts, wv):
-        # mutation influx int m(t, x_q, z, I_d(x_q)) v(z) dz
-        I_d = _grid_nonlocal(model.kernel_d, t, pts, x, wv)
-        return _row_sums(
-            lambda s, e: model.mutation(t, pts[s:e, None], x[:, None], I_d[s:e]),
-            pts.shape[0], wv)
-
-    def G_of(t, pts, wv):
-        I = _grid_nonlocal(model.kernel_g, t, pts, x, wv)
-        R = np.asarray(model.growth(t, pts[:, None], I))
-        div = np.asarray(model.advection_div_x(
-            t, pts[:, None], np.zeros((pts.shape[0], model.n_a))))
-        return R - div
-
-    def advance(vn, wvn, t, Dt, edges):
-        nonlocal min_seen
-        if Dt < MIN_DT:
-            raise OracleError(
-                f"fixed point failed to contract above dt={MIN_DT:g} "
-                f"(reached {Dt:g} at t={t:.6g})")
-        n_sub = _substeps(Dt)
-        feet = _rk4_flow(model, x, t + Dt, t, n_sub)  # backward feet
-        base = PchipInterpolator(x, vn)(feet)
-        base = np.where(np.isnan(base), 0.0, base)
-        G0 = G_of(t, feet, wvn)
-        S0 = source_at(t, feet, wvn) if has_mut else None
-
-        # without mutation the support is exactly the flow image of the
-        # initial one; clipping outside it stops interpolation bleed
-        # across the support-edge jump cell
-        edges_out = None
-        if edges is not None:
-            edges_out = _rk4_flow(model, edges, t, t + Dt, n_sub)
-            keep = (x >= edges_out[0]) & (x <= edges_out[1])
-            if np.count_nonzero(keep) < 2:
-                # one node gets zero trapezoid weight: mass and I_g would
-                # read 0 while its value grows without bound
-                raise OracleError(
-                    f"support [{edges_out[0]:.6g}, {edges_out[1]:.6g}] holds "
-                    f"fewer than two grid nodes at t={t + Dt:.6g}; refine dx")
-
-        tol = FIXED_POINT_RTOL * (1.0 + float(pair_sum(wvn)))
-        u, wu = vn, wvn
-        for it in range(MAX_FIXED_POINT_ITER):
-            G1 = G_of(t + Dt, x, wu)
-            E = 0.5 * Dt * (G0 + G1)
-            wfac = np.exp(E)
-            v_new = wfac * base
-            if has_mut:
-                S1 = source_at(t + Dt, x, wu)
-                v_new = v_new + 0.5 * Dt * (wfac * S0 + S1)
-            if edges_out is not None:
-                v_new = np.where(keep, v_new, 0.0)
-            delta = float(pair_sum(np.abs(v_new - u))) * cfg.dx
-            u, wu = v_new, weigh(v_new)
-            if delta < tol:
-                state["iters_max"] = max(state["iters_max"], it + 1)
-                mn = float(np.min(u))
-                min_seen = min(min_seen, mn)
-                if mn < -1e-10 * max(float(np.max(u)), 1e-300):
-                    raise OracleError(
-                        f"negative density {mn:.3e} at t={t + Dt:.6g}")
-                return u, wu, edges_out
-        # no contraction: halve the sub-interval
-        state["subdiv"] += 1
-        half, whalf, mid_edges = advance(vn, wvn, t, 0.5 * Dt, edges)
-        return advance(half, whalf, t + 0.5 * Dt, 0.5 * Dt, mid_edges)
-
-    edges = None
-    if not has_mut:
-        edges = np.array([float(v0.support.lo[0]), float(v0.support.hi[0])])
-
+    edges = None if model.mutation is not None else np.array(
+        [float(v0.support.lo[0]), float(v0.support.hi[0])])
+    state = _State(v, _support_weights(v, cfg.dx) * v, edges)
+    stats = _Stats(float(np.min(v)))
+    del v  # only `state` holds the initial level: the first step frees it
     n_steps = 0 if T == 0.0 else max(1, int(round(T / cfg.dt)))
     dt = T / n_steps if n_steps else cfg.dt
-    wv = weigh(v)
     rho_v = np.zeros(n_steps + 1)
-    rho_v[0] = float(pair_sum(wv))
+    rho_v[0] = float(pair_sum(state.wv))
     for n in range(n_steps):
-        v, wv, edges = advance(v, wv, n * dt, dt, edges)
-        rho_v[n + 1] = float(pair_sum(wv))
-
+        state = _advance(model, x, cfg.dx, state, n * dt, dt, stats)
+        rho_v[n + 1] = float(pair_sum(state.wv))
     return ReferenceSolution(
-        x=x, v=v, dx=cfg.dx, dt=dt,
+        x=x, v=state.v, dx=cfg.dx, dt=dt,
         rho_times=dt * np.arange(n_steps + 1), rho_values=rho_v,
-        min_value=min_seen,
-        fixed_point_iters_max=state["iters_max"],
-        subdivisions=state["subdiv"])
+        min_value=stats.min_seen, fixed_point_iters_max=stats.iters_max,
+        subdivisions=stats.subdivisions)
 
 
 def refine_until_stable(model: ModelSpec, v0: InitialDensity,

@@ -416,6 +416,8 @@ class TestExitCodes:
         ("simulate", SELF_CFG + "\n[oracle]\nenabled = true\n", {},
          "local advection"),
         ("asymptote", SELF_CFG, {}, "local advection"),
+        ("simulate", "[model]\nname = twotrait2d\n[initial]\n"
+         "profile = bump-pair\n[oracle]\nenabled = true\n", {}, "1D"),
         ("asymptote", ASYMPTOTE_CFG.replace("50, 100, 200", "50, 100.5, 200"),
          {}, "[asymptote] n_list"),
         ("asymptote", ASYMPTOTE_CFG.replace("50, 100, 200", "20, 20"), {},
@@ -464,7 +466,8 @@ class TestExitCodes:
     ], ids=["reproduce-n-zero", "reproduce-n-fraction",
             "reproduce-t_final-negative", "h-negative", "t_final-negative",
             "t_final-inf", "t_final-nan", "dt-zero", "eps_q-above-one", "oracle-empty-box",
-            "oracle-nonlocal", "asymptote-nonlocal", "n_list-fraction",
+            "oracle-nonlocal", "asymptote-nonlocal", "oracle-2d",
+            "n_list-fraction",
             "n_list-one-distinct", "max_levels-fraction", "target-negative",
             "floor-zero", "h_list-negative", "h_list-two", "self-h_list-two",
             "unread-floor-negative", "unread-n_list-fraction",

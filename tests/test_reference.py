@@ -63,8 +63,8 @@ def test_pure_transport_closed_form():
     assert errs[1 / 100] / errs[1 / 200] > 3.0
 
 
-def test_mutation_influx_closed_form():
-    """a = 0, R = 0, m = mu: v(t, x) = v0(x) + rho0 (e^{mu t} - 1)."""
+def _pure_mutation(mu):
+    """a = 0, R = 0 and the constant mutation law m = mu on [0, 1]."""
     sup = pp.Box([0.0], [1.0])
 
     def no_field(t, X, I):
@@ -73,19 +73,51 @@ def test_mutation_influx_closed_form():
     def no_scalar(t, X, I):
         return np.zeros(X.shape[0])
 
-    model = pp.ModelSpec(
+    return pp.ModelSpec(
         name="pure-mutation", dim=1, advection=no_field,
         advection_div_x=no_scalar, growth=no_scalar,
         kernel_g=pp.constant_kernel(1.0), support_v0=sup, a_sup=0.0,
-        mutation=lambda t, X, Y, I: np.full((X.shape[0], Y.shape[0]), 0.5),
+        mutation=lambda t, X, Y, I: np.full((X.shape[0], Y.shape[0]), mu),
         kernel_d=pp.constant_kernel(1.0),
-        support_m_x=sup, support_m_y=sup, M_bar=0.5)
+        support_m_x=sup, support_m_y=sup, M_bar=abs(mu))
+
+
+def test_mutation_influx_closed_form():
+    """a = 0, R = 0, m = mu: v(t, x) = v0(x) + rho0 (e^{mu t} - 1)."""
     prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
     cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=1e-3)
-    sol = pp.solve_reference(model, prof, cfg, 1.0)
+    sol = pp.solve_reference(_pure_mutation(0.5), prof, cfg, 1.0)
     expect = math.exp(0.5)
     assert sol.mass() == pytest.approx(expect, abs=1e-7)
     np.testing.assert_allclose(sol.v, expect, atol=1e-7)
+
+
+def test_negative_density_is_an_error():
+    """A negative mutation law drains v at its zero end (x = 1) below 0
+    in the first step; the solve refuses the level instead of going on."""
+    prof = pp.build_profile("one-minus-x")
+    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=1e-3)
+    with pytest.raises(pp.OracleError,
+                       match=r"negative density -4\.997e-04 at t=0\.001"):
+        pp.solve_reference(_pure_mutation(-1.0), prof, cfg, 0.1)
+
+
+def test_halved_steps_under_mutation(monkeypatch):
+    """Halving runs without support edges under mutation: forced by a cap
+    of 3 iterations, the solve keeps one mass sample per outer step and
+    lands closer to e^{mu T} than the unforced one."""
+    prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
+    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=0.1)
+    expect = math.exp(0.5)
+    unforced = pp.solve_reference(_pure_mutation(0.5), prof, cfg, 1.0)
+    monkeypatch.setattr(reference, "MAX_FIXED_POINT_ITER", 3)
+    halved = pp.solve_reference(_pure_mutation(0.5), prof, cfg, 1.0)
+    assert unforced.subdivisions == 0
+    assert halved.subdivisions > 0
+    assert len(halved.rho_times) == len(halved.rho_values) == 11
+    err = abs(halved.mass() - expect)
+    assert err < 1e-6
+    assert err < abs(unforced.mass() - expect)
 
 
 def test_support_stays_sharp_under_nonuniform_flow(advsel_profile,
@@ -149,9 +181,13 @@ def test_oracle_rejects_unsupported_models(advsel_profile):
     cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.1, dt=1e-2)
     with pytest.raises(pp.OracleError, match="local advection"):
         pp.solve_reference(nl, advsel_profile, cfg, 0.1)
+    with pytest.raises(pp.OracleError, match="local advection"):
+        pp.characteristics(nl, 0.5, 0.0, 0.1)
     two = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
     with pytest.raises(pp.OracleError, match="1D"):
         pp.solve_reference(two, advsel_profile, cfg, 0.1)
+    with pytest.raises(pp.OracleError, match="1D"):
+        pp.characteristics(two, np.zeros(2), 0.0, 0.1)
 
 
 def test_collapsed_support_is_an_error():
