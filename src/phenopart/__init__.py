@@ -19,10 +19,8 @@ from .analysis import (APReport, AnalysisError, ClusterReport,
                        fit_convergence_order, predict_limit_mass,
                        weak_measure_gap, weighted_pointwise_error)
 from .discretize import (DiscretizationError, InitialDensity, MutationCheck,
-                         PROFILES, ParticleEnsemble, SpacingError,
-                         SpacingReport, active_box, build_profile,
-                         check_spacing, check_mutation_discretization,
-                         partition_support)
+                         PROFILES, ParticleEnsemble, active_box, build_profile,
+                         check_mutation_discretization, partition_support)
 from .dynamics import (IntegrationError, MonitorReport, RunConfig, Trajectory,
                        default_dt, integrate)
 from .model import (MODELS, Box, EvaluationError, Kernel, ModelSpec,
@@ -30,9 +28,8 @@ from .model import (MODELS, Box, EvaluationError, Kernel, ModelSpec,
                     constant_kernel, moment_kernel, pair_sum,
                     validate_model)
 from .reference import (OracleError, ReferenceConfig, ReferenceSolution,
-                        characteristics, l1_distance, refine_until_stable,
-                        solve_reference)
-from .regularize import (CUTOFFS, CutoffSpec, MomentReport, build_cutoff,
-                         epsilon_rule, project, reconstruct, verify_moments)
+                        l1_distance, refine_until_stable, solve_reference)
+from .regularize import (CUTOFFS, CutoffSpec, build_cutoff, epsilon_rule,
+                         reconstruct)
 
 __version__ = "0.1.0"

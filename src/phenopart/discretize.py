@@ -28,13 +28,10 @@ from .model import Box, ModelSpec, as_points, nonlocal_field, pair_sum
 
 __all__ = [
     "DiscretizationError",
-    "SpacingError",
     "InitialDensity",
     "ParticleEnsemble",
-    "SpacingReport",
     "MutationCheck",
     "partition_support",
-    "check_spacing",
     "check_mutation_discretization",
     "build_profile",
     "PROFILES",
@@ -43,10 +40,6 @@ __all__ = [
 
 class DiscretizationError(RuntimeError):
     """The requested lattice produced no usable particles."""
-
-
-class SpacingError(RuntimeError):
-    """Degenerate particle geometry (duplicates, too few particles)."""
 
 
 @dataclass(frozen=True)
@@ -64,14 +57,6 @@ class InitialDensity:
         pts = as_points(X, self.support.dim)
         vals = np.asarray(self.evaluator(pts), dtype=float)
         return np.where(self.support.contains(pts), vals, 0.0)
-
-    def total_mass(self) -> float:
-        """Trapezoid mass of the profile over 20001 nodes of its support
-        (1D only)."""
-        if self.support.dim != 1:
-            raise NotImplementedError("total_mass is a 1D convenience")
-        x = np.linspace(self.support.lo[0], self.support.hi[0], 20001)
-        return float(np.trapezoid(self(x[:, None]), x))
 
 
 @dataclass
@@ -178,40 +163,6 @@ def partition_support(v0: InitialDensity, model: ModelSpec, h: float,
     return ParticleEnsemble(
         time=0.0, positions=positions, volumes=volumes,
         intensities=intensities, h=float(h))
-
-
-class SpacingReport(NamedTuple):
-    """Measured spacing constants relative to h (positions) and h^d (volumes)."""
-
-    position_c: float  # min nearest-neighbor distance / h
-    position_C: float  # max nearest-neighbor distance / h
-    volume_c: float    # min w_i / h^d
-    volume_C: float    # max w_i / h^d
-
-
-def check_spacing(ens: ParticleEnsemble) -> SpacingReport:
-    """Nearest-neighbor spacing and volume constants of the ensemble.
-
-    A fresh lattice reports all four constants equal to 1.  Duplicate
-    positions raise SpacingError (the interaction sums would degenerate).
-    """
-    if ens.n < 2:
-        raise SpacingError("spacing needs at least 2 particles")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(ens.positions)
-    dist, _ = tree.query(ens.positions, k=2)
-    nearest = dist[:, 1]
-    if np.any(nearest == 0.0):
-        i = int(np.argmax(nearest == 0.0))
-        raise SpacingError(f"duplicate particle positions (index {i})")
-    vol_scale = ens.volumes / ens.h ** ens.dim
-    return SpacingReport(
-        position_c=float(np.min(nearest) / ens.h),
-        position_C=float(np.max(nearest) / ens.h),
-        volume_c=float(np.min(vol_scale)),
-        volume_C=float(np.max(vol_scale)),
-    )
 
 
 class MutationCheck(NamedTuple):

@@ -46,7 +46,6 @@ __all__ = [
     "OracleError",
     "ReferenceConfig",
     "ReferenceSolution",
-    "characteristics",
     "solve_reference",
     "refine_until_stable",
     "l1_distance",
@@ -187,7 +186,7 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
               n_sub: int) -> np.ndarray:
     """RK4 flow map of dx/dt = a(t, x) from t0 to t1 (either direction)."""
     dt = (t1 - t0) / n_sub
-    x = x.astype(float).copy()
+    x = x.astype(float)
     for j in range(n_sub):
         t = t0 + j * dt
         k1 = _flow_rhs(model, t, x)
@@ -196,15 +195,6 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
         k4 = _flow_rhs(model, t + dt, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
-
-
-def characteristics(model: ModelSpec, y, t0: float, t1: float):
-    """Flow map X(t1; t0, y) of the local advection field, by fixed-step
-    RK4 with steps of at most 1e-3, the oracle's own cap."""
-    check_scope(model)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = _rk4_flow(model, y_arr, t0, t1, _substeps(abs(t1 - t0)))
-    return float(out[0]) if np.isscalar(y) or out.shape == (1,) else out
 
 
 def _support_weights(v: np.ndarray, dx: float) -> np.ndarray:

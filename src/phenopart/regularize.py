@@ -3,11 +3,7 @@
 A cutoff profile phi with unit mass and vanishing moments up to order r - 1
 turns a particle ensemble into the function
 
-    v_eps(x) = sum_i nu_i w_i eps^{-d} phi((x - x_i)/eps),
-
-and projects a function v onto the same particle supports via
-
-    (P_eps v)(x) = sum_i w_i v(x_i) eps^{-d} phi((x - x_i)/eps).
+    v_eps(x) = sum_i nu_i w_i eps^{-d} phi((x - x_i)/eps).
 
 The reconstruction error splits into a smoothing part eps^r and a quadrature
 part (h/eps)^kappa (+ h^kappa), with kappa the convergence order of the
@@ -40,12 +36,9 @@ from .model import as_points, pair_sum
 
 __all__ = [
     "CutoffSpec",
-    "MomentReport",
     "CUTOFFS",
     "build_cutoff",
-    "verify_moments",
     "reconstruct",
-    "project",
     "epsilon_rule",
 ]
 
@@ -62,9 +55,9 @@ class CutoffSpec:
     allocates no float array, only one-byte support masks: this is how
     `_kernel_sum` reuses its tile buffers.  With no `out` it allocates the
     result and leaves `u` unchanged.
-    `breakpoints` lists interior non-smooth points (used by the moment
-    quadrature); `r_order` is the claimed moment order: integral phi = 1 and
-    all moments up to r_order - 1 vanish.
+    `breakpoints` lists interior non-smooth points (the tests' moment
+    quadrature splits its intervals there); `r_order` is the claimed moment
+    order: integral phi = 1 and all moments up to r_order - 1 vanish.
     """
 
     name: str
@@ -163,43 +156,6 @@ def build_cutoff(name: str) -> CutoffSpec:
     return CUTOFFS[name]
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Measured 1D moments of a cutoff profile up to order r - 1."""
-
-    name: str
-    r_order: int
-    moments: tuple          # (m_0, ..., m_{r-1})
-    passes: bool            # |m_0 - 1| <= 1e-10, higher |m_alpha| <= 1e-8
-
-
-def verify_moments(phi: CutoffSpec, r: int | None = None) -> MomentReport:
-    """Adaptive quadrature of the profile moments with declared breakpoints.
-
-    Passes when |m_0 - 1| <= 1e-10 and |m_alpha| <= 1e-8 for
-    1 <= alpha <= r - 1.  Product-form extension to d dimensions preserves
-    these moment identities, so the 1D check covers all dimensions.
-    """
-    # scipy.integrate is slow to import and nothing else reads it
-    from scipy import integrate
-
-    r = r or phi.r_order
-    pts = sorted(set((-phi.radius, phi.radius) + tuple(phi.breakpoints)))
-    inner = [p for p in pts if -phi.radius < p < phi.radius]
-    moments = []
-    for alpha in range(r):
-        val, _err = integrate.quad(
-            lambda u, a=alpha: u ** a * float(phi.profile(np.array([u]))[0]),
-            -phi.radius, phi.radius, points=inner or None, limit=200,
-            epsabs=1e-13, epsrel=1e-13)
-        moments.append(val)
-    mass_error = abs(moments[0] - 1.0)
-    max_higher = max((abs(m) for m in moments[1:]), default=0.0)
-    return MomentReport(
-        name=phi.name, r_order=r, moments=tuple(moments),
-        passes=(mass_error <= 1e-10 and max_higher <= 1e-8))
-
-
 # the particle block fixes the order in which each grid row accumulates; the
 # grid tile only bounds the size of the tile buffers (rows are independent)
 _GRID_CHUNK = 128
@@ -268,23 +224,6 @@ def reconstruct(ens: ParticleEnsemble, phi: CutoffSpec, eps: float,
     """Mollified density sum_i nu_i w_i phi_eps(x - x_i) on grid rows."""
     pts = as_points(grid, ens.dim)
     return _kernel_sum(pts, ens.positions, ens.alpha(), phi, eps)
-
-
-def project(v, ens: ParticleEnsemble, phi: CutoffSpec, eps: float,
-            grid) -> np.ndarray:
-    """Particle projection sum_i w_i v(x_i) phi_eps(x - x_i) on grid rows.
-
-    `v` is a callable over point rows or an array of values at the particle
-    positions.
-    """
-    pts = as_points(grid, ens.dim)
-    if callable(v):
-        vals = np.asarray(v(ens.positions), dtype=float)
-    else:
-        vals = np.asarray(v, dtype=float)
-    if vals.shape != (ens.n,):
-        raise ValueError(f"expected {ens.n} particle values, got shape {vals.shape}")
-    return _kernel_sum(pts, ens.positions, ens.volumes * vals, phi, eps)
 
 
 def epsilon_rule(h: float, q: float) -> float:

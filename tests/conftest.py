@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy import integrate
 
 import phenopart as pp
 from phenopart.model import advection_inputs, divergence_field, velocity_field
@@ -34,6 +37,37 @@ def make_ensemble(n, seed=0, dim=1, h=None):
     return pp.ParticleEnsemble(
         time=0.0, positions=positions, volumes=volumes,
         intensities=intensities, h=h if h is not None else 1.0 / n)
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    """Measured 1D moments of a cutoff profile up to order r - 1."""
+
+    moments: tuple          # (m_0, ..., m_{r-1})
+    passes: bool            # |m_0 - 1| <= 1e-10, higher |m_alpha| <= 1e-8
+
+
+def verify_moments(phi, r=None):
+    """Adaptive quadrature of the profile moments with declared breakpoints.
+
+    Passes when |m_0 - 1| <= 1e-10 and |m_alpha| <= 1e-8 for
+    1 <= alpha <= r - 1.  Product-form extension to d dimensions preserves
+    these moment identities, so the 1D check covers all dimensions.
+    """
+    r = r or phi.r_order
+    pts = sorted(set((-phi.radius, phi.radius) + tuple(phi.breakpoints)))
+    inner = [p for p in pts if -phi.radius < p < phi.radius]
+    moments = []
+    for alpha in range(r):
+        val, _err = integrate.quad(
+            lambda u, a=alpha: u ** a * float(phi.profile(np.array([u]))[0]),
+            -phi.radius, phi.radius, points=inner or None, limit=200,
+            epsabs=1e-13, epsrel=1e-13)
+        moments.append(val)
+    mass_error = abs(moments[0] - 1.0)
+    max_higher = max((abs(m) for m in moments[1:]), default=0.0)
+    return MomentReport(moments=tuple(moments),
+                        passes=(mass_error <= 1e-10 and max_higher <= 1e-8))
 
 
 def velocity_and_divergence(model, X, ens, t=0.0):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import phenopart as pp
-from conftest import make_ensemble, velocity_and_divergence
+from conftest import make_ensemble, velocity_and_divergence, verify_moments
 from phenopart.cli import main as cli_main
 
 H_SWEEP = (1 / 100, 1 / 200, 1 / 400, 1 / 800)
@@ -266,7 +266,7 @@ def test_criterion_09_cutoff_moments_and_mass():
     t0 = time.monotonic()
     names = ("gaussian", "gaussian-trunc", "bspline3", "gaussian4")
     for name in names:
-        rep = pp.verify_moments(pp.build_cutoff(name))
+        rep = verify_moments(pp.build_cutoff(name))
         assert rep.passes, name
         assert abs(rep.moments[0] - 1.0) <= 1e-8
         assert all(abs(m) <= 1e-8 for m in rep.moments[1:])

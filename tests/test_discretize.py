@@ -128,23 +128,6 @@ def test_lattice_does_not_depend_on_T_without_mutation(profile, model, h):
             assert a.tobytes() == b.tobytes()
 
 
-class TestSpacing:
-    def test_lattice_constants_are_unity(self, advsel_profile, advsel_model):
-        ens = pp.partition_support(advsel_profile, advsel_model, 0.1, T=0.0)
-        rep = pp.check_spacing(ens)
-        assert rep.position_c == pytest.approx(1.0)
-        assert rep.position_C == pytest.approx(1.0)
-        assert rep.volume_c == pytest.approx(1.0)
-        assert rep.volume_C == pytest.approx(1.0)
-
-    def test_duplicate_positions_rejected(self):
-        pos = np.array([[0.25], [0.25], [0.75]])
-        ens = pp.ParticleEnsemble(0.0, pos, np.full(3, 0.25),
-                                  np.ones(3), h=0.5)
-        with pytest.raises(pp.SpacingError):
-            pp.check_spacing(ens)
-
-
 class TestMutationCheck:
     def test_no_mutation_is_trivially_ok(self, advsel_profile, advsel_model):
         ens = pp.partition_support(advsel_profile, advsel_model, 0.1, T=0.0)
@@ -190,10 +173,6 @@ class TestProfiles:
         assert pp.build_profile("x-one-minus-x")(x)[0] == pytest.approx(
             0.25 * 0.75)
         assert pp.build_profile("x-squared")(x)[0] == pytest.approx(0.0625)
-
-    def test_bump_total_mass_matches_quadrature(self):
-        prof = pp.build_profile("bump", center=0.0, width=1.0)
-        assert prof.total_mass() == pytest.approx(BUMP_INTEGRAL, abs=1e-6)
 
     def test_unknown_profile(self):
         with pytest.raises(KeyError):

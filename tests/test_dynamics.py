@@ -47,6 +47,51 @@ def test_linear_advection_closed_forms():
     assert fin.mass() == pytest.approx(ens.mass(), abs=1e-12)
 
 
+@pytest.mark.parametrize("h", [1 / 10, 1 / 20])
+def test_twotrait_moment_drift_closed_form(h):
+    """a_k = -x_k - c I_k with R = 0 keeps the mass M, and the moments obey
+    I_k' = -(1 + cM) I_k, so each particle follows
+    x(T) = e^-T (x0 - c I0 (1 - e^(-cMT)) / (cM)); div a = -2 gives
+    w0 e^(-2T) and nu0 e^(2T).  A wrong moment kernel, moment input or
+    divergence of the compiled laws moves the particles off this path."""
+    c, T = 0.5, 0.5
+    prof = pp.build_profile("bump", center=(0.3, 0.2), width=0.5)
+    model = pp.build_model("twotrait2d", prof.support,
+                           a1=f"-x1 - {c}*I1", a2=f"-x2 - {c}*I2")
+    ens = pp.partition_support(prof, model, h, T=T)
+    M = ens.mass()
+    I0 = ens.alpha() @ ens.positions
+    fin = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=1e-2)).final
+    expected = np.exp(-T) * (ens.positions
+                             - c * I0 * (1.0 - np.exp(-c * M * T)) / (c * M))
+    np.testing.assert_allclose(fin.positions, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fin.volumes, ens.volumes * np.exp(-2 * T),
+                               rtol=1e-8)
+    np.testing.assert_allclose(fin.intensities,
+                               ens.intensities * np.exp(2 * T), rtol=1e-8)
+
+
+def test_nldrift_closed_form():
+    """a = drift0 - m and R = r0 - m with m the mass: the mass is logistic,
+    m' = (r0 - m) m, every particle moves by drift0 T - int m =
+    drift0 T - ln(1 + m0 (e^(r0 T) - 1) / r0), nu scales by m(T) / m0 and,
+    with div a = 0, w stays.  A wrong non-local input moves them off it."""
+    T, drift0, r0 = 1.0, 1.0, 1.0
+    prof = pp.build_profile("bump", center=0.5, width=0.3)
+    model = pp.build_model("nldrift1d", prof.support, drift0=drift0, r0=r0)
+    ens = pp.partition_support(prof, model, 1 / 40, T=T)
+    m0 = ens.mass()
+    fin = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=1e-2)).final
+    grow = np.exp(r0 * T) - 1.0
+    mT = r0 * m0 * np.exp(r0 * T) / (r0 + m0 * grow)
+    shift = drift0 * T - np.log1p(m0 * grow / r0)
+    np.testing.assert_allclose(fin.positions, ens.positions + shift,
+                               rtol=0, atol=1e-10)
+    np.testing.assert_allclose(fin.intensities, ens.intensities * mT / m0,
+                               rtol=1e-10)
+    assert fin.volumes.tobytes() == ens.volumes.tobytes()
+
+
 def test_rk4_matches_scipy_reference(advsel_profile, advsel_model):
     """The advsel particle system, a = x(1-x) and R = 6 - 4x - mass, written
     out by hand and handed to an adaptive high-accuracy integrator."""

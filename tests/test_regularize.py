@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phenopart as pp
-from conftest import make_ensemble
+from conftest import make_ensemble, verify_moments
 from phenopart.regularize import CUTOFFS, _kernel_sum
 
 ALL_CUTOFFS = ("gaussian", "gaussian-trunc", "bspline3", "gaussian4")
@@ -18,7 +18,7 @@ ALL_CUTOFFS = ("gaussian", "gaussian-trunc", "bspline3", "gaussian4")
 @pytest.mark.parametrize("name", ALL_CUTOFFS)
 def test_declared_moments_hold(name):
     phi = pp.build_cutoff(name)
-    rep = pp.verify_moments(phi)
+    rep = verify_moments(phi)
     assert rep.passes
     assert abs(rep.moments[0] - 1.0) <= 1e-10
     for m in rep.moments[1:]:
@@ -30,7 +30,7 @@ def test_truncated_gaussian_normalization():
     assert math.erf(5.0 / math.sqrt(2.0)) == pytest.approx(
         0.9999994266968563, abs=1e-16)
     phi = pp.build_cutoff("gaussian-trunc")
-    rep = pp.verify_moments(phi)
+    rep = verify_moments(phi)
     assert abs(rep.moments[0] - 1.0) <= 1e-12
 
 
@@ -56,7 +56,7 @@ def test_fourth_order_kernel_has_negative_fourth_moment():
 
     integral u^4 phi = 3/2 * 3 - 1/2 * 15 = -3."""
     phi = pp.build_cutoff("gaussian4")
-    rep = pp.verify_moments(phi, r=5)
+    rep = verify_moments(phi, r=5)
     assert not rep.passes  # moment 4 is genuinely nonzero
     assert rep.moments[4] == pytest.approx(-3.0, abs=1e-8)
     assert all(abs(m) <= 1e-8 for m in rep.moments[1:4])
@@ -93,24 +93,6 @@ def test_reconstruction_mass_is_quadrature_exact():
     vals = pp.reconstruct(ens, phi, eps, grid[:, None])
     mass = float(np.sum(vals) * dx)
     assert mass == pytest.approx(ens.mass(), abs=1e-12)
-
-
-def test_project_equals_reconstruct_on_matching_values():
-    ens = make_ensemble(25, seed=11)
-    phi = pp.build_cutoff("gaussian")
-    grid = np.linspace(-0.5, 1.5, 301)[:, None]
-    recon = pp.reconstruct(ens, phi, 0.08, grid)
-    proj = pp.project(ens.intensities.copy(), ens, phi, 0.08, grid)
-    assert recon.tobytes() == proj.tobytes()
-
-
-def test_project_accepts_callable():
-    ens = make_ensemble(25, seed=11)
-    phi = pp.build_cutoff("gaussian")
-    grid = np.linspace(-0.5, 1.5, 301)[:, None]
-    via_callable = pp.project(lambda X: X[:, 0] ** 2, ens, phi, 0.08, grid)
-    via_values = pp.project(ens.positions[:, 0] ** 2, ens, phi, 0.08, grid)
-    np.testing.assert_array_equal(via_callable, via_values)
 
 
 def test_reconstruct_2d_single_particle():
@@ -345,11 +327,3 @@ def test_kernel_sum_rejects_non_finite_particles(where, bad):
         args[where][7] = bad
     with pytest.raises(ValueError, match="finite"):
         _kernel_sum(phi=CUTOFFS["gaussian"], **args)
-
-
-def test_project_rejects_non_finite_values():
-    ens = make_ensemble(30, seed=2)
-    grid = np.linspace(0.0, 1.0, 50)[:, None]
-    with pytest.raises(ValueError, match="finite"):
-        pp.project(lambda X: np.full(X.shape[0], np.nan), ens,
-                   CUTOFFS["bspline3"], 0.1, grid)
