@@ -29,7 +29,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -497,6 +496,8 @@ def _cluster_summary(model, rep):
 def _pool_map(func, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [func(p) for p in payloads]
+    # a serial run skips the multiprocessing, socket and logging imports
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, payloads))
 

@@ -216,6 +216,8 @@ class ModelSpec:
       max(initial mass, I_star / psi_g_min).  I_star = inf declares the
       hypothesis unavailable (monitor falls back to vacuous bound).
     - M_bar: uniform bound on m; psi_g_min: uniform lower bound on psi_g.
+    - autonomous: advection and advection_div_x do not depend on t, bit
+      for bit; the grid reference then reuses its backward feet
     """
 
     name: str
@@ -237,6 +239,7 @@ class ModelSpec:
     M_bar: float = 0.0
     K_const: float = 0.0
     psi_g_min: float = 1.0
+    autonomous: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -397,7 +400,8 @@ def validate_model(model: ModelSpec, box: Box) -> ValidationReport:
     The samples are 256 points of the box (seeds 0 and 1 for the two point
     sets) at the times 0, 0.5 and 1.  Checks, each reported with the
     measured extremum and a witness:
-    speed bound a_sup; psi_g positivity and lower bound; growth saturation
+    speed bound a_sup; declared autonomy (a and div a equal bit for bit at
+    t = 0 and 1); psi_g positivity and lower bound; growth saturation
     beyond I_star; mutation uniform bound and declared-support vanishing;
     finiteness of finite-difference Lipschitz estimates.  Declared constants
     are trusted inputs; this cross-checks them, it does not infer them.
@@ -428,6 +432,23 @@ def validate_model(model: ModelSpec, box: Box) -> ValidationReport:
     entries.append(ValidationEntry(
         "speed_bound", worst <= model.a_sup * (1.0 + 1e-12), worst,
         f"sup |a| sampled vs declared a_sup={model.a_sup:g}; worst at {witness}"))
+
+    # declared autonomy: the advection and its divergence read no t
+    if model.autonomous:
+        moved, same = 0.0, True
+        for lvl in I_levels:
+            I = np.full((samples, model.n_a), lvl)
+            for func in (model.advection, model.advection_div_x):
+                a0, a1 = (np.asarray(func(t, X, I)) for t in (0.0, 1.0))
+                same = same and a0.tobytes() == a1.tobytes()
+                moved = max(moved, float(np.max(np.abs(a1 - a0))))
+        entries.append(ValidationEntry(
+            "autonomous", same, moved,
+            "largest change of a and div a from t=0 to t=1; declared "
+            "autonomous, so both must agree bit for bit"))
+    else:
+        entries.append(ValidationEntry(
+            "autonomous", True, 0.0, "not declared"))
 
     # psi_g lower bound
     vals = np.asarray(model.kernel_g.func(0.0, X, Y))
@@ -539,7 +560,7 @@ def build_advsel1d(support_v0: Box, r0: float = 6.0, r1: float = 4.0) -> ModelSp
         advection=advection, advection_div_x=advection_div_x,
         growth=growth, kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=0.25,
-        I_star=I_star, r_star=r_star, psi_g_min=1.0,
+        I_star=I_star, r_star=r_star, psi_g_min=1.0, autonomous=True,
     )
 
 
@@ -560,7 +581,7 @@ def build_logistic0d(support_v0: Box, r0: float = 1.0) -> ModelSpec:
         advection=advection, advection_div_x=advection_div_x,
         growth=growth, kernel_g=constant_kernel(1.0),
         support_v0=support_v0, a_sup=0.0,
-        I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0,
+        I_star=r0 + 0.5, r_star=0.25, psi_g_min=1.0, autonomous=True,
     )
 
 
@@ -589,7 +610,7 @@ def build_linadv1d(support_v0: Box) -> ModelSpec:
         name="linadv1d", dim=support_v0.dim,
         advection=advection, advection_div_x=advection_div_x,
         growth=growth, kernel_g=constant_kernel(1.0),
-        support_v0=support_v0, a_sup=a_sup,
+        support_v0=support_v0, a_sup=a_sup, autonomous=True,
     )
 
 

@@ -8,7 +8,9 @@ backward characteristic foot Y(t_n; t_{n+1}, x) the density satisfies
 and one step of the scheme freezes the non-local inputs through a fixed-point
 iteration on the new time level.  Its pieces:
 
-- `_feet`: backward RK4 on dx/dt = a(t, x) (sub-stepped to <= 1e-3)
+- `_flow`: the nodes' backward feet by RK4 on dx/dt = a(t, x)
+  (sub-stepped to <= 1e-3), with their PCHIP cells and div a;
+  `_edges`: the support edges flowed forward on the same substeps
 - `_transport`: v(t_n, .) at the feet by our own monotone cubic, the
   Fritsch-Carlson PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980)
   with Moler's one-sided three-point end slopes (Numerical Computing with
@@ -27,6 +29,21 @@ iteration on the new time level.  Its pieces:
 Every grid density travels with its support-weighted values
 wv = _support_weights(v, dx) * v, computed once, from which the masses and
 all grid integrals are read; a `_State` holds both and the support edges.
+
+What depends on the grid alone is computed once per solve, in a `_Grid`:
+the PCHIP spacing terms, and the buffers that the PCHIP build, the
+evaluation at the feet and the fixed-point iterates are written into.
+A model declared `autonomous` (a and div a read no t) also keeps one
+cached `_Flow`: the feet, their cells (interval, s, s^2, s^3, outside
+mask) and div a at the feet and at the nodes.  A step reuses it while its
+key, the RK4 substep count and the exact substep (t - (t + Dt)) / n_sub
+that `_rk4_flow` steps by, is unchanged; otherwise it flows the nodes
+afresh and replaces the entry.  The key is that float, not Dt: it rounds
+differently as t grows (3 values over the 200 steps of Dt = 5e-4 to
+t = 0.1), and feet reused across such a change move the solution by up
+to 2e-13 at T = 1, so with this key every output bit is the one of a
+model that flows every step.  A halved step has another key.  A model
+not declared autonomous runs the same code with the cache off.
 
 This solver shares no code path with the particle dynamics (grid transport
 vs. interacting particles), which is what makes it usable as an oracle.
@@ -126,6 +143,51 @@ def _end_slope(h0, h1, m0, m1):
     return d
 
 
+class _Nodes:
+    """The PCHIP terms that depend on the nodes alone (the spacing h and
+    the harmonic-mean weights w1, w2 and w1 + w2), and the buffers a build
+    on them writes: the coefficient rows of the n = x.size - 1 intervals
+    and the slope scratch."""
+
+    def __init__(self, x: np.ndarray):
+        n = x.size - 1
+        self.h = np.diff(x)
+        self.w1 = 2.0 * self.h[1:] + self.h[:-1]
+        self.w2 = self.h[1:] + 2.0 * self.h[:-1]
+        self.w12 = self.w1 + self.w2
+        self.coef = np.empty((4, n))
+        self.d = np.empty(n + 1)
+        self.tmp = np.empty((2, n))
+        self.zero = np.empty(n - 1, dtype=bool)
+
+
+def _cells(x: np.ndarray, points) -> tuple:
+    """Where each point falls on the nodes x: its interval k (the largest
+    with x[k] <= p, clipped to the last), s = p - x[k] with s^2 and s^3,
+    and the mask of points outside [x[0], x[-1]]."""
+    p = np.asarray(points, dtype=float)
+    k = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+    s = p - x[k]
+    ss = s * s
+    return k, s, ss, ss * s, ~((p >= x[0]) & (p <= x[-1]))
+
+
+def _at(coef, cells, fill, out=None, work=None):
+    """The cubics of the coefficient rows at the cells of `_cells`; points
+    outside the nodes read `fill`.  `work`, a (4, points) array, takes the
+    gathered coefficients."""
+    k, s, ss, sss, outside = cells
+    c = np.take(coef, k, axis=1, mode="clip", out=work)
+    c[2] *= s
+    c[1] *= ss
+    c[0] *= sss
+    out = np.add(c[3], c[2], out=out)
+    out += c[1]
+    out += c[0]
+    np.copyto(out, fill, where=outside)
+    return out
+
+
 class PchipInterpolator:
     """Monotone piecewise cubic Hermite interpolant of v on the strictly
     increasing nodes x (at least two).
@@ -135,46 +197,60 @@ class PchipInterpolator:
     both ends.  The cubic of interval k is written in s = p - x[k] and
     summed in the order scipy's PchipInterpolator uses, so the values
     agree with it bit for bit.  Points outside [x[0], x[-1]] read NaN.
+
+    A build on the caller's `_Nodes` of x writes its coefficients there,
+    so it holds until the next build on them; without, it has its own.
     """
 
-    def __init__(self, x: np.ndarray, v: np.ndarray):
+    def __init__(self, x: np.ndarray, v: np.ndarray,
+                 nodes: _Nodes | None = None):
         if not np.all(np.isfinite(v)):
             raise ValueError("PCHIP data must be finite")
-        h = np.diff(x)
-        m = np.diff(v) / h
-        d = np.empty_like(v)
+        nodes = _Nodes(x) if nodes is None else nodes
+        h, d, (a, b) = nodes.h, nodes.d, nodes.tmp
+        c0, c1, c2, c3 = nodes.coef
+        m = np.subtract(v[1:], v[:-1], out=c3)   # the secants, until c3
+        m /= h
         if x.size == 2:
             d[:] = m[0]
         else:
-            w1 = 2.0 * h[1:] + h[:-1]
-            w2 = h[1:] + 2.0 * h[:-1]
-            sign = np.sign(m)
-            zero = sign[1:] * sign[:-1] <= 0   # a turn or a flat secant
+            sign = np.sign(m, out=c0)
+            zero = np.less_equal(np.multiply(sign[1:], sign[:-1], out=a[1:]),
+                                 0.0, out=nodes.zero)  # a turn or a flat
             # the mean divides by zero at flat secants, which `zero` masks
             with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-                d[1:-1] = np.where(zero, 0.0, 1.0 / whmean)
+                whmean = np.divide(nodes.w1, m[:-1], out=a[1:])
+                whmean += np.divide(nodes.w2, m[1:], out=b[1:])
+                whmean /= nodes.w12
+                np.divide(1.0, whmean, out=d[1:-1])
+            np.copyto(d[1:-1], 0.0, where=zero)
             d[0] = _end_slope(h[0], h[1], m[0], m[1])
             d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        t = np.add(d[:-1], d[1:], out=a)
+        t -= np.multiply(2.0, m, out=b)
+        t /= h
+        np.divide(t, h, out=c0)
+        np.subtract(m, d[:-1], out=c1)
+        c1 /= h
+        c1 -= t
+        c2[:] = d[:-1]
+        np.add(v[:-1], 0.0, out=c3)
         self.x = x
-        self._c = (t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + v[:-1])
+        self._c = nodes.coef
 
     def __call__(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        x = self.x
-        k = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
-        s = p - x[k]
-        ss = s * s
-        c0, c1, c2, c3 = (c[k] for c in self._c)
-        out = ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
-        return np.where((p >= x[0]) & (p <= x[-1]), out, np.nan)
+        return _at(self._c, _cells(self.x, points), np.nan)
 
 
 def _flow_rhs(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     X = x[:, None]
     I = np.zeros((x.shape[0], model.n_a))
     return np.asarray(model.advection(t, X, I))[:, 0]
+
+
+def _div(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
+    return np.asarray(model.advection_div_x(
+        t, x[:, None], np.zeros((x.shape[0], model.n_a))))
 
 
 def _substeps(span: float) -> int:
@@ -197,22 +273,22 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
     return x
 
 
-def _support_weights(v: np.ndarray, dx: float) -> np.ndarray:
+def _support_weights(v: np.ndarray, dx: float, out=None) -> np.ndarray:
     """Trapezoid weights that skip cells bridging an exact-zero run.
 
     With a compactly supported density whose edge falls on a node, the
     plain rule charges half the jump cell (an O(dx) mass bias); dropping
     the half-weight at zero/nonzero junctions restores second order.
+    The weights go into `out` when it is given.
     """
-    w = np.full(v.shape, dx)
+    w = np.empty(v.shape) if out is None else out
+    w.fill(dx)
     w[0] = w[-1] = 0.5 * dx
     nz = v != 0.0
-    left = np.zeros_like(nz)
-    right = np.zeros_like(nz)
-    left[1:] = nz[1:] & ~nz[:-1]
-    right[:-1] = nz[:-1] & ~nz[1:]
-    w[left] -= 0.5 * dx
-    w[right] -= 0.5 * dx
+    j = np.flatnonzero(nz[1:] != nz[:-1])   # a junction between j, j + 1
+    up = nz[j + 1]
+    w[j[up] + 1] -= 0.5 * dx                # a run's first node
+    w[j[~up]] -= 0.5 * dx                   # a run's last node
     return w
 
 
@@ -255,34 +331,72 @@ class _Stats:
     subdivisions: int = 0
 
 
-def _feet(model, x, edges, t, Dt):
-    """The nodes' backward feet over [t, t + Dt], the edges flowed forward
-    on the same substeps, and the nodes between them (None: mutation)."""
-    n_sub = _substeps(Dt)
-    feet = _rk4_flow(model, x, t + Dt, t, n_sub)
+@dataclass
+class _Flow:
+    """What one backward flow of the nodes fixes: the feet, their PCHIP
+    cells, and div a at the feet and at the nodes.  `key` is the RK4
+    substep count and the exact substep."""
+
+    key: tuple
+    feet: np.ndarray
+    cells: tuple
+    div_feet: np.ndarray
+    div_nodes: np.ndarray
+
+
+class _Grid:
+    """The nodes of one solve and what its steps reuse: the PCHIP nodes,
+    the cached flow (autonomous advection only) and the step buffers."""
+
+    def __init__(self, x: np.ndarray, dx: float):
+        self.x, self.dx = x, dx
+        self.nodes = _Nodes(x)
+        self.flow = None
+        self.gather = np.empty((4, x.size))
+        self.base, self.G0, self.e = np.empty((3, x.size))
+        self.iterates = np.empty((2, 2, x.size))   # two (v, wv) pairs
+
+
+def _flow(model, grid, t, Dt, n_sub):
+    """The nodes' backward flow over [t, t + Dt]; see the module docstring
+    for when it comes from the cache."""
+    key = (n_sub, (t - (t + Dt)) / n_sub)   # _rk4_flow's substep
+    flow = grid.flow
+    if flow is None or flow.key != key:
+        x = grid.x
+        feet = _rk4_flow(model, x, t + Dt, t, n_sub)
+        flow = _Flow(key, feet, _cells(x, feet), _div(model, t, feet),
+                     _div(model, t + Dt, x))
+        if model.autonomous:
+            grid.flow = flow
+    return flow
+
+
+def _edges(model, x, edges, t, Dt, n_sub):
+    """The support edges flowed forward over [t, t + Dt] on the feet's
+    substeps, and the node range [lo, hi) between them (None: mutation)."""
     if edges is None:
-        return feet, None, None
+        return None, None
     edges = _rk4_flow(model, edges, t, t + Dt, n_sub)
-    keep = (x >= edges[0]) & (x <= edges[1])
-    if np.count_nonzero(keep) < 2:
+    lo = int(np.searchsorted(x, edges[0], side="left"))
+    hi = int(np.searchsorted(x, edges[1], side="right"))
+    if hi - lo < 2:
         # a lone node has zero trapezoid weight: mass and I_g would read 0
         raise OracleError(f"support [{edges[0]:.6g}, {edges[1]:.6g}] holds "
                           f"fewer than two grid nodes at t={t + Dt:.6g}; "
                           "refine dx")
-    return feet, edges, keep
+    return edges, (lo, hi)
 
 
-def _transport(x, v, feet):
-    base = PchipInterpolator(x, v)(feet)
-    return np.where(np.isnan(base), 0.0, base)
+def _transport(grid, v, cells):
+    """v at the feet; feet outside the grid read 0."""
+    interp = PchipInterpolator(grid.x, v, grid.nodes)
+    return _at(interp._c, cells, 0.0, out=grid.base, work=grid.gather)
 
 
-def _exponent(model, x, t, pts, wv):
+def _exponent(model, x, t, pts, div, wv, out):
     I = _grid_nonlocal(model.kernel_g, t, pts, x, wv)
-    R = np.asarray(model.growth(t, pts[:, None], I))
-    div = np.asarray(model.advection_div_x(
-        t, pts[:, None], np.zeros((pts.shape[0], model.n_a))))
-    return R - div
+    return np.subtract(model.growth(t, pts[:, None], I), div, out=out)
 
 
 def _source(model, x, t, pts, wv):
@@ -292,28 +406,42 @@ def _source(model, x, t, pts, wv):
         pts.shape[0], wv)
 
 
-def _clip(v, keep):
-    return v if keep is None else np.where(keep, v, 0.0)
+def _clip(v, span):
+    """Zero v outside the support's node range [lo, hi), in place."""
+    if span is not None:
+        v[:span[0]] = 0.0
+        v[span[1]:] = 0.0
 
 
-def _fixed_point(model, x, dx, old, t, Dt, stats):
+def _fixed_point(model, grid, old, t, Dt, stats):
     """The state at t + Dt, or None if the iteration does not contract."""
-    feet, edges, keep = _feet(model, x, old.edges, t, Dt)
-    base = _transport(x, old.v, feet)
-    G0 = _exponent(model, x, t, feet, old.wv)
-    S0 = None if model.mutation is None else _source(model, x, t, feet, old.wv)
+    x, dx = grid.x, grid.dx
+    n_sub = _substeps(Dt)
+    flow = _flow(model, grid, t, Dt, n_sub)
+    edges, span = _edges(model, x, old.edges, t, Dt, n_sub)
+    base = _transport(grid, old.v, flow.cells)
+    G0 = _exponent(model, x, t, flow.feet, flow.div_feet, old.wv, grid.G0)
+    S0 = None if model.mutation is None else _source(model, x, t, flow.feet,
+                                                     old.wv)
     tol = FIXED_POINT_RTOL * (1.0 + float(pair_sum(old.wv)))
     u, wu = old.v, old.wv
     for it in range(MAX_FIXED_POINT_ITER):
-        G1 = _exponent(model, x, t + Dt, x, wu)
-        wfac = np.exp(0.5 * Dt * (G0 + G1))
-        v_new = wfac * base
+        v_new, wv_new = grid.iterates[it % 2]
+        # the trapezoid exponent (G0 + G1) Dt / 2, in place
+        e = _exponent(model, x, t + Dt, x, flow.div_nodes, wu, grid.e)
+        e += G0
+        e *= 0.5 * Dt
+        wfac = np.exp(e, out=e)
+        np.multiply(wfac, base, out=v_new)
         if S0 is not None:
             S1 = _source(model, x, t + Dt, x, wu)
-            v_new = v_new + 0.5 * Dt * (wfac * S0 + S1)
-        v_new = _clip(v_new, keep)
-        delta = float(pair_sum(np.abs(v_new - u))) * dx
-        u, wu = v_new, _support_weights(v_new, dx) * v_new
+            v_new += 0.5 * Dt * (wfac * S0 + S1)
+        _clip(v_new, span)
+        change = np.abs(np.subtract(v_new, u, out=e), out=e)  # wfac is spent
+        delta = float(pair_sum(change)) * dx
+        u = v_new
+        wu = np.multiply(_support_weights(v_new, dx, out=wv_new), v_new,
+                         out=wv_new)
         if delta < tol:
             stats.iters_max = max(stats.iters_max, it + 1)
             mn = float(np.min(u))
@@ -321,21 +449,22 @@ def _fixed_point(model, x, dx, old, t, Dt, stats):
             if mn < -1e-10 * max(float(np.max(u)), 1e-300):
                 raise OracleError(
                     f"negative density {mn:.3e} at t={t + Dt:.6g}")
-            return _State(u, wu, edges)
+            # the next step writes its iterates into the same buffers
+            return _State(u.copy(), wu.copy(), edges)
     return None
 
 
-def _advance(model, x, dx, old, t, Dt, stats):
+def _advance(model, grid, old, t, Dt, stats):
     """The state at t + Dt, halving sub-intervals that do not contract."""
     if Dt < MIN_DT:
         raise OracleError(
             f"fixed point failed to contract above dt={MIN_DT:g} "
             f"(reached {Dt:g} at t={t:.6g})")
-    new = _fixed_point(model, x, dx, old, t, Dt, stats)
+    new = _fixed_point(model, grid, old, t, Dt, stats)
     if new is None:
         stats.subdivisions += 1
-        half = _advance(model, x, dx, old, t, 0.5 * Dt, stats)
-        new = _advance(model, x, dx, half, t + 0.5 * Dt, 0.5 * Dt, stats)
+        half = _advance(model, grid, old, t, 0.5 * Dt, stats)
+        new = _advance(model, grid, half, t + 0.5 * Dt, 0.5 * Dt, stats)
     return new
 
 
@@ -348,6 +477,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     v = v0(x[:, None])
     edges = None if model.mutation is not None else np.array(
         [float(v0.support.lo[0]), float(v0.support.hi[0])])
+    grid = _Grid(x, cfg.dx)
     state = _State(v, _support_weights(v, cfg.dx) * v, edges)
     stats = _Stats(float(np.min(v)))
     del v  # only `state` holds the initial level: the first step frees it
@@ -356,7 +486,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     rho_v = np.zeros(n_steps + 1)
     rho_v[0] = float(pair_sum(state.wv))
     for n in range(n_steps):
-        state = _advance(model, x, cfg.dx, state, n * dt, dt, stats)
+        state = _advance(model, grid, state, n * dt, dt, stats)
         rho_v[n + 1] = float(pair_sum(state.wv))
     return ReferenceSolution(
         x=x, v=state.v, dx=cfg.dx, dt=dt,

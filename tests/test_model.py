@@ -382,6 +382,33 @@ def test_speed_bound_violation_detected(advsel_profile):
     assert not report.entry("speed_bound").passed
 
 
+@pytest.mark.parametrize("name", ["advsel1d", "linadv1d", "logistic0d"])
+def test_autonomous_presets_pass_the_cross_check(name):
+    box = pp.Box([0.0], [1.0])
+    model = pp.build_model(name, box)
+    assert model.autonomous
+    entry = pp.validate_model(model, box).entry("autonomous")
+    assert entry.passed and entry.value == 0.0
+
+
+@pytest.mark.parametrize("part", ["advection", "advection_div_x"])
+def test_time_dependent_model_declared_autonomous_is_flagged(advsel_model,
+                                                             part):
+    """a = (1 + t) x (1 - x), or only its divergence scaled by (1 + t),
+    wrongly declared autonomous: the t = 0 and t = 1 samples differ."""
+    law = getattr(advsel_model, part)
+    wrong = dataclasses.replace(
+        advsel_model, name="drifting", autonomous=True,
+        **{part: lambda t, X, I: (1.0 + t) * law(t, X, I)})
+    entry = pp.validate_model(wrong, pp.Box([0.0], [1.0])).entry("autonomous")
+    assert not entry.passed
+    assert entry.value > 0.0
+    # undeclared, the same model is not held to it
+    honest = dataclasses.replace(wrong, autonomous=False)
+    assert pp.validate_model(honest, pp.Box([0.0], [1.0])).entry(
+        "autonomous").passed
+
+
 # ---------------------------------------------------------------------------
 # Box
 

@@ -90,6 +90,18 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    """Only `--workers` above 1 needs a process pool, so importing the CLI
+    must not load `concurrent.futures` and `multiprocessing`."""
+    code = ("import sys, phenopart, phenopart.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(pp.__path__[0]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_run_loads_no_scipy(tmp_path):
     """The CLI and the grid reference need no scipy: a small `simulate`
     with the oracle on leaves every scipy module unloaded."""

@@ -1,5 +1,6 @@
 """Grid reference solver and characteristics against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 import phenopart as pp
 from phenopart import reference
-from phenopart.reference import (PchipInterpolator, _rk4_flow, _substeps,
-                                 _support_weights, check_scope)
+from phenopart.reference import (PchipInterpolator, _at, _cells, _Nodes,
+                                 _rk4_flow, _substeps, _support_weights,
+                                 check_scope)
 
 LOGISTIC_RHO_5 = 0.9933071490757153
 # logistic flow of x' = x(1-x): 1 / (1 + e^-2)
@@ -183,6 +185,57 @@ def test_halved_steps_contract_and_stay_accurate(monkeypatch, advsel_profile,
             < abs(unforced.mass() - fine.mass()))
 
 
+def _solve_counted(model, prof, cfg, T):
+    """The solve, and how many times it evaluated the advection."""
+    calls = []
+
+    def advection(t, X, I):
+        calls.append(X.shape[0])
+        return model.advection(t, X, I)
+
+    sol = pp.solve_reference(dataclasses.replace(model, advection=advection),
+                             prof, cfg, T)
+    return sol, len(calls)
+
+
+def _cache_case(case, advsel_profile, advsel_model):
+    """(model, profile, config, T, MAX_FIXED_POINT_ITER or None)."""
+    if case == "advsel":
+        cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 400, dt=1e-2)
+        return advsel_model, advsel_profile, cfg, 1.0, None
+    if case == "halved":
+        cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 400, dt=0.1)
+        return advsel_model, advsel_profile, cfg, 1.0, 9
+    prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
+    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=0.1)
+    return (dataclasses.replace(_pure_mutation(0.5), autonomous=True), prof,
+            cfg, 1.0, 3)
+
+
+@pytest.mark.parametrize("case", ["advsel", "halved", "mutation"])
+def test_cached_feet_change_no_bit(monkeypatch, advsel_profile, advsel_model,
+                                   case):
+    """An autonomous model reuses its backward feet, their PCHIP cells and
+    div a while the RK4 substep stays the same float; declared
+    time-dependent, the same model flows its nodes every step.  Both give
+    the same bytes, with and without halved steps and under mutation."""
+    model, prof, cfg, T, cap = _cache_case(case, advsel_profile, advsel_model)
+    if cap is not None:
+        monkeypatch.setattr(reference, "MAX_FIXED_POINT_ITER", cap)
+    assert model.autonomous
+    cached, n_cached = _solve_counted(model, prof, cfg, T)
+    fresh, n_fresh = _solve_counted(
+        dataclasses.replace(model, autonomous=False), prof, cfg, T)
+    assert cached.v.tobytes() == fresh.v.tobytes()
+    assert cached.rho_values.tobytes() == fresh.rho_values.tobytes()
+    assert ((cached.min_value, cached.fixed_point_iters_max,
+             cached.subdivisions) == (fresh.min_value,
+                                      fresh.fixed_point_iters_max,
+                                      fresh.subdivisions))
+    assert (cached.subdivisions > 0) == (cap is not None)
+    assert n_cached < n_fresh
+
+
 def test_oracle_rejects_unsupported_models(advsel_profile):
     nl = pp.build_model("nldrift1d", pp.Box([0.0], [1.0]))
     cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.1, dt=1e-2)
@@ -221,6 +274,28 @@ def test_refinement_history():
 
 class TestSupportWeights:
     dx = 0.1
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), min_size=2,
+                    max_size=40))
+    def test_matches_two_masks(self, values):
+        """The junction walk gives the weights of the two-mask rule: minus
+        half a cell at a run's first node (left) and at its last (right),
+        twice for a lone node."""
+        v = np.array(values)
+        w = np.full(v.shape, self.dx)
+        w[0] = w[-1] = 0.5 * self.dx
+        nz = v != 0.0
+        left = np.zeros_like(nz)
+        right = np.zeros_like(nz)
+        left[1:] = nz[1:] & ~nz[:-1]
+        right[:-1] = nz[:-1] & ~nz[1:]
+        w[left] -= 0.5 * self.dx
+        w[right] -= 0.5 * self.dx
+        got = _support_weights(v, self.dx)
+        assert got.tobytes() == w.tobytes()
+        out = np.full(v.shape, np.nan)
+        assert _support_weights(v, self.dx, out=out) is out
+        assert out.tobytes() == w.tobytes()
 
     def total(self, v):
         return float(np.sum(_support_weights(np.asarray(v, float), self.dx)
@@ -287,6 +362,26 @@ class TestPchip:
         with np.errstate(divide="ignore", invalid="ignore"):
             want = ScipyPchip(x, v, extrapolate=False)(p)
         got = PchipInterpolator(x, v)(p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["random", "flat", "sign-changing",
+                                      "two-node", "signed-zeros"])
+    def test_cached_cells_match_scipy(self, kind):
+        """The oracle's path: cells found once, coefficients built into
+        reused node buffers (after a build of other data), evaluated into
+        work buffers with 0 outside the nodes."""
+        from scipy.interpolate import PchipInterpolator as ScipyPchip
+
+        x, v, p = _pchip_case(kind)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = ScipyPchip(x, v, extrapolate=False)(p)
+        want = np.where(np.isnan(want), 0.0, want)
+        nodes, cells = _Nodes(x), _cells(x, p)
+        PchipInterpolator(x, v[::-1].copy(), nodes)
+        interp = PchipInterpolator(x, v, nodes)
+        out, work = np.full(p.size, np.nan), np.full((4, p.size), np.nan)
+        got = _at(interp._c, cells, 0.0, out=out, work=work)
+        assert got is out
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(data=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=24),
