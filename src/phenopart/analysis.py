@@ -75,9 +75,7 @@ def weighted_pointwise_error(ens: ParticleEnsemble, oracle: ReferenceSolution) -
 @dataclass(frozen=True)
 class FitResult:
     order: float
-    intercept: float
     max_residual: float
-    pairs: tuple
 
 
 def fit_convergence_order(pairs: Sequence) -> FitResult:
@@ -99,8 +97,7 @@ def fit_convergence_order(pairs: Sequence) -> FitResult:
     E = np.log(es)
     slope, intercept = np.polyfit(L, E, 1)
     resid = float(np.max(np.abs(E - (slope * L + intercept))))
-    return FitResult(order=float(slope), intercept=float(intercept),
-                     max_residual=resid, pairs=tuple(pairs))
+    return FitResult(order=float(slope), max_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +157,15 @@ def detect_limit_clusters(traj: Trajectory) -> ClusterReport:
         breaks = np.flatnonzero(np.diff(sorted_x) > pos_tol)
         groups = np.split(order, breaks + 1)
     else:
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
         from scipy.spatial import cKDTree
 
-        tree = cKDTree(pos)
-        parent = np.arange(ens.n)
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in sorted(tree.query_pairs(pos_tol)):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        roots = np.array([find(i) for i in range(ens.n)])
-        groups = [np.flatnonzero(roots == r) for r in np.unique(roots)]
+        ij = cKDTree(pos).query_pairs(pos_tol, output_type="ndarray")
+        links = coo_array((np.ones(len(ij)), (ij[:, 0], ij[:, 1])),
+                          shape=(ens.n, ens.n))
+        n_groups, label = connected_components(links, directed=False)
+        groups = [np.flatnonzero(label == g) for g in range(n_groups)]
 
     clusters = []
     for g in groups:

@@ -547,9 +547,10 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
         plots = [PlotSeries("reconstruction", sol.x, recon),
                  PlotSeries("reference", sol.x, sol.v)]
     elif model.dim == 1:
-        lo = float(profile.support.lo[0]) - cutoff.radius * eps
-        hi = float(profile.support.hi[0]) + model.a_sup * t_final \
-            + cutoff.radius * eps
+        # where the reconstruction can be non-zero: the particles' extent
+        # padded by the kernel's reach
+        lo = float(np.min(fin.positions)) - cutoff.radius * eps
+        hi = float(np.max(fin.positions)) + cutoff.radius * eps
         grid = lo + (eps / 4.0) * np.arange(
             int(np.ceil((hi - lo) / (eps / 4.0))) + 1)
         plots = [PlotSeries("reconstruction", grid,

@@ -30,20 +30,14 @@ Every grid density travels with its support-weighted values
 wv = _support_weights(v, dx) * v, computed once, from which the masses and
 all grid integrals are read; a `_State` holds both and the support edges.
 
-What depends on the grid alone is computed once per solve, in a `_Grid`:
-the PCHIP spacing terms, and the buffers that the PCHIP build, the
-evaluation at the feet and the fixed-point iterates are written into.
-A model declared `autonomous` (a and div a read no t) also keeps one
-cached `_Flow`: the feet, their cells (interval, s, s^2, s^3, outside
-mask) and div a at the feet and at the nodes.  A step reuses it while its
-key, the RK4 substep count and the exact substep (t - (t + Dt)) / n_sub
-that `_rk4_flow` steps by, is unchanged; otherwise it flows the nodes
-afresh and replaces the entry.  The key is that float, not Dt: it rounds
-differently as t grows (3 values over the 200 steps of Dt = 5e-4 to
-t = 0.1), and feet reused across such a change move the solution by up
-to 2e-13 at T = 1, so with this key every output bit is the one of a
-model that flows every step.  A halved step has another key.  A model
-not declared autonomous runs the same code with the cache off.
+What outlives a step is held by one `_Solve`: the model, the nodes and
+their PCHIP spacing terms, what the solve reports besides the density,
+and, for a model declared `autonomous` (a and div a read no t), one cached
+`_Flow`: the feet, their cells (interval, s, s^2, s^3, outside mask) and
+div a at the feet and at the nodes.  Its feet depend on the step Dt alone,
+so a step reuses it while Dt is unchanged and flows the nodes afresh
+otherwise; a model not declared autonomous runs the same code with the
+cache off.
 
 This solver shares no code path with the particle dynamics (grid transport
 vs. interacting particles), which is what makes it usable as an oracle.
@@ -145,20 +139,15 @@ def _end_slope(h0, h1, m0, m1):
 
 class _Nodes:
     """The PCHIP terms that depend on the nodes alone (the spacing h and
-    the harmonic-mean weights w1, w2 and w1 + w2), and the buffers a build
-    on them writes: the coefficient rows of the n = x.size - 1 intervals
-    and the slope scratch."""
+    the harmonic-mean weights w1, w2 and w1 + w2), and the coefficient
+    rows of the x.size - 1 intervals that a build on them writes."""
 
     def __init__(self, x: np.ndarray):
-        n = x.size - 1
         self.h = np.diff(x)
         self.w1 = 2.0 * self.h[1:] + self.h[:-1]
         self.w2 = self.h[1:] + 2.0 * self.h[:-1]
         self.w12 = self.w1 + self.w2
-        self.coef = np.empty((4, n))
-        self.d = np.empty(n + 1)
-        self.tmp = np.empty((2, n))
-        self.zero = np.empty(n - 1, dtype=bool)
+        self.coef = np.empty((4, x.size - 1))
 
 
 def _cells(x: np.ndarray, points) -> tuple:
@@ -172,20 +161,12 @@ def _cells(x: np.ndarray, points) -> tuple:
     return k, s, ss, ss * s, ~((p >= x[0]) & (p <= x[-1]))
 
 
-def _at(coef, cells, fill, out=None, work=None):
+def _at(coef, cells, fill):
     """The cubics of the coefficient rows at the cells of `_cells`; points
-    outside the nodes read `fill`.  `work`, a (4, points) array, takes the
-    gathered coefficients."""
+    outside the nodes read `fill`."""
     k, s, ss, sss, outside = cells
-    c = np.take(coef, k, axis=1, mode="clip", out=work)
-    c[2] *= s
-    c[1] *= ss
-    c[0] *= sss
-    out = np.add(c[3], c[2], out=out)
-    out += c[1]
-    out += c[0]
-    np.copyto(out, fill, where=outside)
-    return out
+    c0, c1, c2, c3 = np.take(coef, k, axis=1, mode="clip")
+    return np.where(outside, fill, ((c3 + c2 * s) + c1 * ss) + c0 * sss)
 
 
 class PchipInterpolator:
@@ -207,34 +188,26 @@ class PchipInterpolator:
         if not np.all(np.isfinite(v)):
             raise ValueError("PCHIP data must be finite")
         nodes = _Nodes(x) if nodes is None else nodes
-        h, d, (a, b) = nodes.h, nodes.d, nodes.tmp
-        c0, c1, c2, c3 = nodes.coef
-        m = np.subtract(v[1:], v[:-1], out=c3)   # the secants, until c3
-        m /= h
+        h = nodes.h
+        m = (v[1:] - v[:-1]) / h
+        d = np.empty(x.size)
         if x.size == 2:
             d[:] = m[0]
         else:
-            sign = np.sign(m, out=c0)
-            zero = np.less_equal(np.multiply(sign[1:], sign[:-1], out=a[1:]),
-                                 0.0, out=nodes.zero)  # a turn or a flat
+            sign = np.sign(m)
+            zero = sign[1:] * sign[:-1] <= 0.0   # a turn or a flat secant
             # the mean divides by zero at flat secants, which `zero` masks
             with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = np.divide(nodes.w1, m[:-1], out=a[1:])
-                whmean += np.divide(nodes.w2, m[1:], out=b[1:])
-                whmean /= nodes.w12
-                np.divide(1.0, whmean, out=d[1:-1])
-            np.copyto(d[1:-1], 0.0, where=zero)
+                whmean = (nodes.w1 / m[:-1] + nodes.w2 / m[1:]) / nodes.w12
+                d[1:-1] = np.where(zero, 0.0, 1.0 / whmean)
             d[0] = _end_slope(h[0], h[1], m[0], m[1])
             d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = np.add(d[:-1], d[1:], out=a)
-        t -= np.multiply(2.0, m, out=b)
-        t /= h
-        np.divide(t, h, out=c0)
-        np.subtract(m, d[:-1], out=c1)
-        c1 /= h
-        c1 -= t
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c0, c1, c2, c3 = nodes.coef
+        c0[:] = t / h
+        c1[:] = (m - d[:-1]) / h - t
         c2[:] = d[:-1]
-        np.add(v[:-1], 0.0, out=c3)
+        c3[:] = v[:-1] + 0.0
         self.x = x
         self._c = nodes.coef
 
@@ -258,10 +231,10 @@ def _substeps(span: float) -> int:
     return max(1, int(math.ceil(span / 1e-3 - 1e-12)))
 
 
-def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
+def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, dt: float,
               n_sub: int) -> np.ndarray:
-    """RK4 flow map of dx/dt = a(t, x) from t0 to t1 (either direction)."""
-    dt = (t1 - t0) / n_sub
+    """RK4 flow map of dx/dt = a(t, x) from t0 over n_sub substeps of the
+    signed dt (negative: backward in time)."""
     x = x.astype(float)
     for j in range(n_sub):
         t = t0 + j * dt
@@ -273,16 +246,14 @@ def _rk4_flow(model: ModelSpec, x: np.ndarray, t0: float, t1: float,
     return x
 
 
-def _support_weights(v: np.ndarray, dx: float, out=None) -> np.ndarray:
+def _support_weights(v: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoid weights that skip cells bridging an exact-zero run.
 
     With a compactly supported density whose edge falls on a node, the
     plain rule charges half the jump cell (an O(dx) mass bias); dropping
     the half-weight at zero/nonzero junctions restores second order.
-    The weights go into `out` when it is given.
     """
-    w = np.empty(v.shape) if out is None else out
-    w.fill(dx)
+    w = np.full(v.shape, dx)
     w[0] = w[-1] = 0.5 * dx
     nz = v != 0.0
     j = np.flatnonzero(nz[1:] != nz[:-1])   # a junction between j, j + 1
@@ -323,63 +294,54 @@ class _State:
 
 
 @dataclass
-class _Stats:
-    """What a solve reports besides the density."""
-
-    min_seen: float
-    iters_max: int = 0
-    subdivisions: int = 0
-
-
-@dataclass
 class _Flow:
-    """What one backward flow of the nodes fixes: the feet, their PCHIP
-    cells, and div a at the feet and at the nodes.  `key` is the RK4
-    substep count and the exact substep."""
+    """What one backward flow of the nodes over a step Dt fixes: the feet,
+    their PCHIP cells, and div a at the feet and at the nodes."""
 
-    key: tuple
+    Dt: float
     feet: np.ndarray
     cells: tuple
     div_feet: np.ndarray
     div_nodes: np.ndarray
 
 
-class _Grid:
-    """The nodes of one solve and what its steps reuse: the PCHIP nodes,
-    the cached flow (autonomous advection only) and the step buffers."""
+class _Solve:
+    """What outlives a step of one solve: the model, the nodes x with
+    spacing dx and their PCHIP terms, the cached flow (autonomous
+    advection only), and what the solve reports besides the density."""
 
-    def __init__(self, x: np.ndarray, dx: float):
-        self.x, self.dx = x, dx
+    def __init__(self, model: ModelSpec, x: np.ndarray, dx: float,
+                 min_seen: float):
+        self.model, self.x, self.dx = model, x, dx
         self.nodes = _Nodes(x)
         self.flow = None
-        self.gather = np.empty((4, x.size))
-        self.base, self.G0, self.e = np.empty((3, x.size))
-        self.iterates = np.empty((2, 2, x.size))   # two (v, wv) pairs
+        self.min_seen = min_seen
+        self.iters_max = 0
+        self.subdivisions = 0
 
 
-def _flow(model, grid, t, Dt, n_sub):
+def _flow(sv, t, Dt, n_sub):
     """The nodes' backward flow over [t, t + Dt]; see the module docstring
     for when it comes from the cache."""
-    key = (n_sub, (t - (t + Dt)) / n_sub)   # _rk4_flow's substep
-    flow = grid.flow
-    if flow is None or flow.key != key:
-        x = grid.x
-        feet = _rk4_flow(model, x, t + Dt, t, n_sub)
-        flow = _Flow(key, feet, _cells(x, feet), _div(model, t, feet),
+    flow = sv.flow
+    if flow is None or flow.Dt != Dt:
+        model, x = sv.model, sv.x
+        feet = _rk4_flow(model, x, t + Dt, -Dt / n_sub, n_sub)
+        flow = _Flow(Dt, feet, _cells(x, feet), _div(model, t, feet),
                      _div(model, t + Dt, x))
         if model.autonomous:
-            grid.flow = flow
+            sv.flow = flow
     return flow
 
 
-def _edges(model, x, edges, t, Dt, n_sub):
+def _edges(sv, edges, t, Dt, n_sub):
     """The support edges flowed forward over [t, t + Dt] on the feet's
     substeps, and the node range [lo, hi) between them (None: mutation)."""
     if edges is None:
         return None, None
-    edges = _rk4_flow(model, edges, t, t + Dt, n_sub)
-    lo = int(np.searchsorted(x, edges[0], side="left"))
-    hi = int(np.searchsorted(x, edges[1], side="right"))
+    edges = _rk4_flow(sv.model, edges, t, Dt / n_sub, n_sub)
+    lo = int(np.searchsorted(sv.x, edges[0], side="left"))
+    hi = int(np.searchsorted(sv.x, edges[1], side="right"))
     if hi - lo < 2:
         # a lone node has zero trapezoid weight: mass and I_g would read 0
         raise OracleError(f"support [{edges[0]:.6g}, {edges[1]:.6g}] holds "
@@ -388,18 +350,19 @@ def _edges(model, x, edges, t, Dt, n_sub):
     return edges, (lo, hi)
 
 
-def _transport(grid, v, cells):
+def _transport(sv, v, cells):
     """v at the feet; feet outside the grid read 0."""
-    interp = PchipInterpolator(grid.x, v, grid.nodes)
-    return _at(interp._c, cells, 0.0, out=grid.base, work=grid.gather)
+    interp = PchipInterpolator(sv.x, v, sv.nodes)
+    return _at(interp._c, cells, 0.0)
 
 
-def _exponent(model, x, t, pts, div, wv, out):
-    I = _grid_nonlocal(model.kernel_g, t, pts, x, wv)
-    return np.subtract(model.growth(t, pts[:, None], I), div, out=out)
+def _exponent(sv, t, pts, div, wv):
+    I = _grid_nonlocal(sv.model.kernel_g, t, pts, sv.x, wv)
+    return np.asarray(sv.model.growth(t, pts[:, None], I)) - div
 
 
-def _source(model, x, t, pts, wv):
+def _source(sv, t, pts, wv):
+    model, x = sv.model, sv.x
     I_d = _grid_nonlocal(model.kernel_d, t, pts, x, wv)
     return _row_sums(
         lambda s, e: model.mutation(t, pts[s:e, None], x[:, None], I_d[s:e]),
@@ -413,58 +376,50 @@ def _clip(v, span):
         v[span[1]:] = 0.0
 
 
-def _fixed_point(model, grid, old, t, Dt, stats):
+def _fixed_point(sv, old, t, Dt):
     """The state at t + Dt, or None if the iteration does not contract."""
-    x, dx = grid.x, grid.dx
     n_sub = _substeps(Dt)
-    flow = _flow(model, grid, t, Dt, n_sub)
-    edges, span = _edges(model, x, old.edges, t, Dt, n_sub)
-    base = _transport(grid, old.v, flow.cells)
-    G0 = _exponent(model, x, t, flow.feet, flow.div_feet, old.wv, grid.G0)
-    S0 = None if model.mutation is None else _source(model, x, t, flow.feet,
-                                                     old.wv)
+    flow = _flow(sv, t, Dt, n_sub)
+    edges, span = _edges(sv, old.edges, t, Dt, n_sub)
+    base = _transport(sv, old.v, flow.cells)
+    G0 = _exponent(sv, t, flow.feet, flow.div_feet, old.wv)
+    S0 = None if sv.model.mutation is None else _source(sv, t, flow.feet,
+                                                        old.wv)
     tol = FIXED_POINT_RTOL * (1.0 + float(pair_sum(old.wv)))
     u, wu = old.v, old.wv
     for it in range(MAX_FIXED_POINT_ITER):
-        v_new, wv_new = grid.iterates[it % 2]
-        # the trapezoid exponent (G0 + G1) Dt / 2, in place
-        e = _exponent(model, x, t + Dt, x, flow.div_nodes, wu, grid.e)
-        e += G0
-        e *= 0.5 * Dt
-        wfac = np.exp(e, out=e)
-        np.multiply(wfac, base, out=v_new)
+        G1 = _exponent(sv, t + Dt, sv.x, flow.div_nodes, wu)
+        wfac = np.exp((G1 + G0) * (0.5 * Dt))
+        v_new = wfac * base
         if S0 is not None:
-            S1 = _source(model, x, t + Dt, x, wu)
+            S1 = _source(sv, t + Dt, sv.x, wu)
             v_new += 0.5 * Dt * (wfac * S0 + S1)
         _clip(v_new, span)
-        change = np.abs(np.subtract(v_new, u, out=e), out=e)  # wfac is spent
-        delta = float(pair_sum(change)) * dx
+        delta = float(pair_sum(np.abs(v_new - u))) * sv.dx
         u = v_new
-        wu = np.multiply(_support_weights(v_new, dx, out=wv_new), v_new,
-                         out=wv_new)
+        wu = _support_weights(v_new, sv.dx) * v_new
         if delta < tol:
-            stats.iters_max = max(stats.iters_max, it + 1)
+            sv.iters_max = max(sv.iters_max, it + 1)
             mn = float(np.min(u))
-            stats.min_seen = min(stats.min_seen, mn)
+            sv.min_seen = min(sv.min_seen, mn)
             if mn < -1e-10 * max(float(np.max(u)), 1e-300):
                 raise OracleError(
                     f"negative density {mn:.3e} at t={t + Dt:.6g}")
-            # the next step writes its iterates into the same buffers
-            return _State(u.copy(), wu.copy(), edges)
+            return _State(u, wu, edges)
     return None
 
 
-def _advance(model, grid, old, t, Dt, stats):
+def _advance(sv, old, t, Dt):
     """The state at t + Dt, halving sub-intervals that do not contract."""
     if Dt < MIN_DT:
         raise OracleError(
             f"fixed point failed to contract above dt={MIN_DT:g} "
             f"(reached {Dt:g} at t={t:.6g})")
-    new = _fixed_point(model, grid, old, t, Dt, stats)
+    new = _fixed_point(sv, old, t, Dt)
     if new is None:
-        stats.subdivisions += 1
-        half = _advance(model, grid, old, t, 0.5 * Dt, stats)
-        new = _advance(model, grid, half, t + 0.5 * Dt, 0.5 * Dt, stats)
+        sv.subdivisions += 1
+        half = _advance(sv, old, t, 0.5 * Dt)
+        new = _advance(sv, half, t + 0.5 * Dt, 0.5 * Dt)
     return new
 
 
@@ -477,22 +432,21 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     v = v0(x[:, None])
     edges = None if model.mutation is not None else np.array(
         [float(v0.support.lo[0]), float(v0.support.hi[0])])
-    grid = _Grid(x, cfg.dx)
+    sv = _Solve(model, x, cfg.dx, float(np.min(v)))
     state = _State(v, _support_weights(v, cfg.dx) * v, edges)
-    stats = _Stats(float(np.min(v)))
     del v  # only `state` holds the initial level: the first step frees it
     n_steps = 0 if T == 0.0 else max(1, int(round(T / cfg.dt)))
     dt = T / n_steps if n_steps else cfg.dt
     rho_v = np.zeros(n_steps + 1)
     rho_v[0] = float(pair_sum(state.wv))
     for n in range(n_steps):
-        state = _advance(model, grid, state, n * dt, dt, stats)
+        state = _advance(sv, state, n * dt, dt)
         rho_v[n + 1] = float(pair_sum(state.wv))
     return ReferenceSolution(
         x=x, v=state.v, dx=cfg.dx, dt=dt,
         rho_times=dt * np.arange(n_steps + 1), rho_values=rho_v,
-        min_value=stats.min_seen, fixed_point_iters_max=stats.iters_max,
-        subdivisions=stats.subdivisions)
+        min_value=sv.min_seen, fixed_point_iters_max=sv.iters_max,
+        subdivisions=sv.subdivisions)
 
 
 def refine_until_stable(model: ModelSpec, v0: InitialDensity,

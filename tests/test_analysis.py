@@ -4,11 +4,15 @@ import dataclasses
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phenopart as pp
+from phenopart.model import pair_sum
 
 
 class TestOrderFit:
@@ -120,6 +124,59 @@ def test_two_basins_two_clusters():
     assert c1[0] == pytest.approx(1.0, abs=1e-3)
     assert m0 + m1 == pytest.approx(1.0, abs=1e-3)
     assert m0 > 0.1 and m1 > 0.1
+
+
+def _union_find_groups(pos, tol):
+    """The components of the links shorter than tol by union-find over the
+    sorted k-d tree pairs: each group ascending, the groups ordered by
+    their smallest index."""
+    from scipy.spatial import cKDTree
+
+    parent = np.arange(pos.shape[0])
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in sorted(cKDTree(pos).query_pairs(tol)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([find(i) for i in range(pos.shape[0])])
+    return [np.flatnonzero(roots == r) for r in np.unique(roots)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
+       h=st.sampled_from([0.005, 0.01, 0.02]))
+def test_2d_clusters_match_union_find(seed, n, h):
+    """On a stationary random cloud, the 2D clusters are those of the
+    union-find reference, bit for bit and in the same order."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, (n, 2))
+    pos[n // 2:] = pos[:n - n // 2]      # exact duplicates link at distance 0
+    ens = pp.ParticleEnsemble(
+        time=1.0, positions=pos, volumes=rng.uniform(1e-5, 1.0, n),
+        intensities=rng.uniform(1e-5, 1.0, n), h=h)
+    mass = ens.mass()
+    traj = SimpleNamespace(final=ens, dt=0.01, series={
+        "t": np.array([0.0, 1.0]), "speed_max": np.zeros(2),
+        "mass": np.full(2, mass)})
+    rep = pp.detect_limit_clusters(traj)
+    alpha = ens.alpha()
+    want = []
+    for g in _union_find_groups(pos, 10.0 * h):
+        m = float(pair_sum(alpha[g]))
+        if m >= 1e-3 * mass:
+            want.append((pair_sum(alpha[g][:, None] * pos[g], axis=0) / m, m))
+    want.sort(key=lambda cm: float(cm[0][0]))
+    assert rep.conclusive
+    assert len(rep.clusters) == len(want)
+    for (center, m), (w_center, w_m) in zip(rep.clusters, want):
+        assert center.tobytes() == w_center.tobytes()
+        assert m == w_m
 
 
 def test_four_basins_four_clusters_in_2d():

@@ -133,6 +133,30 @@ def test_simulate_artifacts(tmp_path):
         assert fh.readline() == "i,x0,w,nu\n"
 
 
+def test_density_plot_spans_the_final_particles(tmp_path, monkeypatch):
+    """Without an oracle, the 1D density plot covers every particle's
+    kernel reach, also where the mass drifts left of the initial support:
+    the plotted curve carries the run's whole final mass."""
+    plotted = []
+    monkeypatch.setattr(cli, "line_plot",
+                        lambda path, series, **kw: plotted.extend(series))
+    monkeypatch.setenv("PHENOPART_MODEL__DRIFT0", "0.1")
+    out = str(tmp_path / "out")
+    cfg = os.path.join(CONFIG_DIR, "nonlocal_toy.cfg")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    (curve,) = plotted
+    with open(os.path.join(out, "final.csv")) as fh:
+        x0 = np.array([float(row["x0"]) for row in csv.DictReader(fh)])
+    eps = pp.epsilon_rule(1 / 200, 0.5)
+    reach = pp.CUTOFFS["bspline3"].radius * eps
+    assert x0.min() < -0.3
+    assert curve.x[0] == pytest.approx(x0.min() - reach, abs=1e-12)
+    assert curve.x[-1] >= x0.max() + reach - 1e-12
+    rep = _report_dict(os.path.join(out, "report.txt"))
+    mass = float(np.trapezoid(curve.y, curve.x))
+    assert mass == pytest.approx(float(rep["final_mass"]), rel=1e-6)
+
+
 @pytest.mark.parametrize("command", ["simulate", "reproduce"])
 def test_every_csv_goes_through_write_csv(tmp_path, monkeypatch, command):
     written = []

@@ -47,6 +47,21 @@ def test_linear_advection_closed_forms():
     assert fin.mass() == pytest.approx(ens.mass(), abs=1e-12)
 
 
+MOMENT_DRIFT_C, MOMENT_DRIFT_T = 0.5, 0.5
+
+
+def _moment_drift(h):
+    """The bump at (0.3, 0.2) under a_k = -x_k - c I_k to T: the initial
+    ensemble, its mass M and moments I0, and the final state."""
+    c, T = MOMENT_DRIFT_C, MOMENT_DRIFT_T
+    prof = pp.build_profile("bump", center=(0.3, 0.2), width=0.5)
+    model = pp.build_model("twotrait2d", prof.support,
+                           a1=f"-x1 - {c}*I1", a2=f"-x2 - {c}*I2")
+    ens = pp.partition_support(prof, model, h, T=T)
+    fin = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=1e-2)).final
+    return prof, ens, ens.mass(), ens.alpha() @ ens.positions, fin
+
+
 @pytest.mark.parametrize("h", [1 / 10, 1 / 20])
 def test_twotrait_moment_drift_closed_form(h):
     """a_k = -x_k - c I_k with R = 0 keeps the mass M, and the moments obey
@@ -54,14 +69,8 @@ def test_twotrait_moment_drift_closed_form(h):
     x(T) = e^-T (x0 - c I0 (1 - e^(-cMT)) / (cM)); div a = -2 gives
     w0 e^(-2T) and nu0 e^(2T).  A wrong moment kernel, moment input or
     divergence of the compiled laws moves the particles off this path."""
-    c, T = 0.5, 0.5
-    prof = pp.build_profile("bump", center=(0.3, 0.2), width=0.5)
-    model = pp.build_model("twotrait2d", prof.support,
-                           a1=f"-x1 - {c}*I1", a2=f"-x2 - {c}*I2")
-    ens = pp.partition_support(prof, model, h, T=T)
-    M = ens.mass()
-    I0 = ens.alpha() @ ens.positions
-    fin = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=1e-2)).final
+    c, T = MOMENT_DRIFT_C, MOMENT_DRIFT_T
+    _prof, ens, M, I0, fin = _moment_drift(h)
     expected = np.exp(-T) * (ens.positions
                              - c * I0 * (1.0 - np.exp(-c * M * T)) / (c * M))
     np.testing.assert_allclose(fin.positions, expected, rtol=0, atol=1e-9)
@@ -69,6 +78,28 @@ def test_twotrait_moment_drift_closed_form(h):
                                rtol=1e-8)
     np.testing.assert_allclose(fin.intensities,
                                ens.intensities * np.exp(2 * T), rtol=1e-8)
+
+
+def test_twotrait_moment_drift_reconstruction_converges():
+    """The `gaussian4` reconstruction at eps = h^0.8 against the closed
+    form v(T, x) = v0(x e^T + (I0 / M)(1 - e^(-cMT))) e^(2T): the L1 error
+    on a 141 x 141 grid of [-1, 1]^2 falls at every halving of h, with a
+    rising local order (about 1.52e-1, 5.40e-2 and 1.72e-2)."""
+    c, T = MOMENT_DRIFT_C, MOMENT_DRIFT_T
+    g = np.linspace(-1.0, 1.0, 141)
+    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    errors = []
+    for h in (1 / 10, 1 / 20, 1 / 40):
+        prof, _ens, M, I0, fin = _moment_drift(h)
+        foot = grid * np.exp(T) + (I0 / M) * (1.0 - np.exp(-c * M * T))
+        exact = prof(foot) * np.exp(2 * T)
+        recon = pp.reconstruct(fin, pp.CUTOFFS["gaussian4"],
+                               pp.epsilon_rule(h, 0.8), grid)
+        errors.append(float(np.sum(np.abs(recon - exact))) * (g[1] - g[0]) ** 2)
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert errors[0] < 0.2
+    assert np.all(orders > 1.0)
+    assert orders[1] > orders[0]
 
 
 def test_nldrift_closed_form():

@@ -23,7 +23,8 @@ def characteristics(model, y, t0, t1):
     """Flow map X(t1; t0, y) of the oracle's feet: its scope rule, then RK4
     with its own substeps of at most 1e-3."""
     check_scope(model)
-    return _rk4_flow(model, np.atleast_1d(y), t0, t1, _substeps(abs(t1 - t0)))
+    n_sub = _substeps(abs(t1 - t0))
+    return _rk4_flow(model, np.atleast_1d(y), t0, (t1 - t0) / n_sub, n_sub)
 
 
 def test_characteristics_logistic_flow(advsel_model):
@@ -216,7 +217,7 @@ def _cache_case(case, advsel_profile, advsel_model):
 def test_cached_feet_change_no_bit(monkeypatch, advsel_profile, advsel_model,
                                    case):
     """An autonomous model reuses its backward feet, their PCHIP cells and
-    div a while the RK4 substep stays the same float; declared
+    div a while the step Dt stays the same; declared
     time-dependent, the same model flows its nodes every step.  Both give
     the same bytes, with and without halved steps and under mutation."""
     model, prof, cfg, T, cap = _cache_case(case, advsel_profile, advsel_model)
@@ -234,6 +235,16 @@ def test_cached_feet_change_no_bit(monkeypatch, advsel_profile, advsel_model,
                                       fresh.subdivisions))
     assert (cached.subdivisions > 0) == (cap is not None)
     assert n_cached < n_fresh
+
+
+def test_autonomous_nodes_flow_once(advsel_profile, advsel_model):
+    """200 steps of one Dt on an autonomous model: 4 advection calls a step
+    flow the support edges over their single RK4 substep, and 4 more flow
+    the nodes once for the whole solve."""
+    cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 400, dt=5e-4)
+    sol, calls = _solve_counted(advsel_model, advsel_profile, cfg, 0.1)
+    assert len(sol.rho_times) == 201
+    assert calls == 4 * 200 + 4
 
 
 def test_oracle_rejects_unsupported_models(advsel_profile):
@@ -293,9 +304,6 @@ class TestSupportWeights:
         w[right] -= 0.5 * self.dx
         got = _support_weights(v, self.dx)
         assert got.tobytes() == w.tobytes()
-        out = np.full(v.shape, np.nan)
-        assert _support_weights(v, self.dx, out=out) is out
-        assert out.tobytes() == w.tobytes()
 
     def total(self, v):
         return float(np.sum(_support_weights(np.asarray(v, float), self.dx)
@@ -368,8 +376,8 @@ class TestPchip:
                                       "two-node", "signed-zeros"])
     def test_cached_cells_match_scipy(self, kind):
         """The oracle's path: cells found once, coefficients built into
-        reused node buffers (after a build of other data), evaluated into
-        work buffers with 0 outside the nodes."""
+        reused nodes (after a build of other data), evaluated with 0
+        outside the nodes."""
         from scipy.interpolate import PchipInterpolator as ScipyPchip
 
         x, v, p = _pchip_case(kind)
@@ -379,9 +387,7 @@ class TestPchip:
         nodes, cells = _Nodes(x), _cells(x, p)
         PchipInterpolator(x, v[::-1].copy(), nodes)
         interp = PchipInterpolator(x, v, nodes)
-        out, work = np.full(p.size, np.nan), np.full((4, p.size), np.nan)
-        got = _at(interp._c, cells, 0.0, out=out, work=work)
-        assert got is out
+        got = _at(interp._c, cells, 0.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(data=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=24),
