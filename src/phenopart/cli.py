@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import contextlib
 import inspect
 import math
 import os
@@ -362,9 +363,9 @@ def _cell(value) -> str:
 
 
 # rows formatted per block: only one block's cells are alive at a time, so
-# every file, the snapshots of a whole run included, is written in memory
-# bounded by one block and one table, not by the length of the file
-_CSV_BLOCK = 4096
+# every file is written in memory bounded by one block and one table, not
+# by the length of the file
+_CSV_BLOCK = 1024
 
 
 def _column_cells(col, width: int) -> list:
@@ -393,14 +394,15 @@ def _unquoted(cells: list, width: int) -> list:
     return cells
 
 
-def write_csv(path: str, header, tables) -> None:
-    """A CSV file: the header, then the rows of each table, one after
-    another; a table is a list of equal-length columns (numpy arrays or
-    sequences).  ","-joined cells, "\\r\\n"-ended lines.  `tables` is read
-    lazily, so a generator keeps one table alive at a time."""
+@contextlib.contextmanager
+def csv_file(path: str, header):
+    """A CSV file open for appending tables after its header; the context
+    value appends one table per call, a list of equal-length columns
+    (numpy arrays or sequences).  ","-joined cells, "\\r\\n"-ended lines."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_unquoted(list(header), len(header))) + "\r\n")
-        for columns in tables:
+
+        def append(columns) -> None:
             n = len(columns[0]) if columns else 0
             if any(len(col) != n for col in columns):
                 raise ValueError("CSV columns differ in length")
@@ -412,6 +414,17 @@ def write_csv(path: str, header, tables) -> None:
                 # one text, or kept alive, raises the peak memory by it
                 fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
                 del cells
+
+        yield append
+
+
+def write_csv(path: str, header, tables) -> None:
+    """A CSV file: the header, then the rows of each table, one after
+    another, through `csv_file`.  `tables` is read lazily, so a generator
+    keeps one table alive at a time."""
+    with csv_file(path, header) as append:
+        for columns in tables:
+            append(columns)
 
 
 def write_report(path: str, pairs) -> None:
@@ -516,18 +529,19 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
     if _get(cfg, "oracle", "enabled"):
         oracle = _oracle_config(cfg, model)
     ens0 = partition_support(profile, model, h, t_final)
-    traj = integrate(model, ens0, run)
-    fin = traj.final
 
     os.makedirs(out, exist_ok=True)
+    # each snapshot is written as the run reaches it and then dropped, so
+    # a run that fails keeps the snapshots it reached
+    with csv_file(os.path.join(out, "snapshots.csv"),
+                  ["t"] + _state_header(ens0.dim)) as append:
+        traj = integrate(model, ens0, run,
+                         snapshot=lambda snap: append(_snapshot_table(snap)))
+    fin = traj.final
     write_csv(os.path.join(out, "series.csv"), list(traj.series),
               [list(traj.series.values())])
     write_csv(os.path.join(out, "final.csv"), _state_header(fin.dim),
               [_state_table(fin)])
-    # one table per snapshot, built as the writer reaches it
-    write_csv(os.path.join(out, "snapshots.csv"),
-              ["t"] + _state_header(fin.dim),
-              map(_snapshot_table, traj.snapshots))
 
     report = [("n_particles", fin.n), ("h", h), ("dt", traj.dt),
               ("n_steps", traj.n_steps), ("t_final", t_final),

@@ -248,7 +248,16 @@ def _profile_x_squared() -> InitialDensity:
         support=support)
 
 
+def _positive(name: str, value) -> None:
+    """Refuse a profile parameter that is not positive everywhere: a zero
+    width or level leaves no particle, a negative level a negative
+    intensity."""
+    if not np.all(np.asarray(value, dtype=float) > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def _profile_const(value: float = 6.0, lo: float = 0.05, hi: float = 1.0) -> InitialDensity:
+    _positive("value", value)
     support = Box([lo], [hi])
     return InitialDensity(
         name="const",
@@ -264,6 +273,8 @@ def _profile_const6() -> InitialDensity:
 
 def _profile_bump(center=0.5, width=0.3, scale: float = 1.0) -> InitialDensity:
     """Smooth compactly supported bump (product form in d dimensions)."""
+    _positive("width", width)
+    _positive("scale", scale)
     center = np.atleast_1d(np.asarray(center, dtype=float))
     width = np.broadcast_to(np.asarray(width, dtype=float), center.shape).copy()
     support = Box(center - width, center + width)
@@ -281,6 +292,8 @@ def _profile_bump(center=0.5, width=0.3, scale: float = 1.0) -> InitialDensity:
 def _profile_bump_pair(centers=((-0.5, 0.0), (0.5, 0.0)), width=0.35,
                        scale: float = 1.0) -> InitialDensity:
     """Sum of two smooth bumps; the two-cluster initial condition."""
+    _positive("width", width)
+    _positive("scale", scale)
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     width = float(width)
     support = Box(c.min(axis=0) - width, c.max(axis=0) + width)

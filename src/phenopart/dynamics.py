@@ -30,7 +30,14 @@ the same.
 The per-step series is one (7, n_steps + 1) float64 array, allocated
 before the first step: each step writes its column of seven values, and
 no Python object is kept per step, so a long run's series costs 56 bytes
-a step.
+a step.  A run of more than MAX_STEPS steps is refused before anything
+is allocated.
+
+Snapshots are not kept: about 40 times a run (t0, every n_steps // 40
+steps and the last step) the state is copied into an ensemble and handed
+to the caller's ``snapshot`` callback, so a caller that streams them
+holds one at a time and a caller that passes none pays for none.  The
+trajectory keeps the initial and the final ensemble only.
 
 Mutation pruning: rows are restricted once, at t = 0, to particles in
 ``mutation_reach`` (supp_x m padded by a_sup T), the rule by which
@@ -57,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,6 +83,9 @@ __all__ = [
 
 
 NU_ALARM = 1e-10    # abort when nu < -NU_ALARM * max(nu)
+# the largest step count of a run, the size of partition_support's
+# lattice cap: its series alone would take 2.8 GB
+MAX_STEPS = 50_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -91,7 +101,8 @@ def default_dt(h: float, a_sup: float) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Integration window; a run keeps about 40 snapshots."""
+    """Integration window; a run hands about 40 snapshots to its
+    ``snapshot`` callback and keeps none."""
 
     t_final: float
     dt: Optional[float] = None          # None: default_dt(h, a_sup)
@@ -115,7 +126,9 @@ class MonitorReport:
 
 @dataclass
 class Trajectory:
-    """Integration output: snapshots, per-step series, and monitor summary.
+    """Integration output: the initial and final ensembles, the per-step
+    series and the monitor summary.  A run of no step has one ensemble,
+    so ``final is initial``.
 
     ``series`` maps t, mass, nu_min, nu_max, w_min, w_max and speed_max to
     the rows of one (7, n_steps + 1) float64 array, as C-contiguous row
@@ -126,17 +139,10 @@ class Trajectory:
     model: ModelSpec
     dt: float
     n_steps: int
-    snapshots: list
+    initial: ParticleEnsemble
+    final: ParticleEnsemble
     series: dict
     monitors: MonitorReport
-
-    @property
-    def initial(self) -> ParticleEnsemble:
-        return self.snapshots[0]
-
-    @property
-    def final(self) -> ParticleEnsemble:
-        return self.snapshots[-1]
 
 
 def _mutation_rows(model: ModelSpec, ens: ParticleEnsemble,
@@ -155,6 +161,14 @@ def _pack(ens: ParticleEnsemble) -> np.ndarray:
     every row a strided view."""
     return np.ascontiguousarray(
         np.vstack([ens.positions.T, ens.volumes, ens.intensities]))
+
+
+def _unpack(S: np.ndarray, t: float, h: float) -> ParticleEnsemble:
+    """A copy of the state S as the ensemble at time t."""
+    d = S.shape[0] - 2
+    return ParticleEnsemble(time=t, positions=S[:d].T.copy(),
+                            volumes=S[d].copy(), intensities=S[d + 1].copy(),
+                            h=h)
 
 
 def _points(S: np.ndarray) -> np.ndarray:
@@ -225,19 +239,29 @@ def _max_norm(sq: np.ndarray) -> float:
     return math.sqrt(np.maximum.reduce(pair_sum(sq.T.copy(), axis=-1)))
 
 
-def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Trajectory:
+def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig,
+              snapshot: Optional[Callable[[ParticleEnsemble], None]] = None
+              ) -> Trajectory:
     """Fixed-step RK4 on the particle system with runtime monitors.
 
     Deterministic by construction: fixed step count, fixed-order pairwise
     reductions, no adaptivity, no randomness.  Identical inputs produce
     bit-identical trajectories.  t_final = 0 takes no step and returns the
     initial state with its one series row.
+
+    `snapshot`, when given, is called with a fresh ensemble at t0, after
+    every n_steps // 40 steps (at least 1) and after the last step, in
+    time order; it is not called again once the run fails.
     """
     if ens0.n == 0:
         raise IntegrationError("cannot integrate an empty ensemble")
     T = cfg.t_final
     dt = cfg.dt if cfg.dt is not None else default_dt(ens0.h, model.a_sup)
     n_steps = 0 if T == 0.0 else max(1, int(math.ceil(T / dt - 1e-9)))
+    if n_steps > MAX_STEPS:
+        raise IntegrationError(
+            f"t_final={T:g} at dt={dt:g} takes {n_steps} steps, more than "
+            f"{MAX_STEPS}; shorten t_final or raise dt")
     dt = T / n_steps if n_steps else dt
     snap_every = max(1, n_steps // 40)
 
@@ -260,7 +284,9 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
     rows = table.T
     rows[0] = (t0, mass, np.min(S[d + 1]), np.max(S[d + 1]), np.min(S[d]),
                np.max(S[d]), 0.0)
-    snapshots = [ens0.copy()]
+    initial = ens0.copy()
+    if snapshot is not None:
+        snapshot(initial)
     # the ufunc reductions behind np.min and np.max, without their wrappers
     vmin, vmax = np.minimum.reduce, np.maximum.reduce
     I_local = np.zeros((n, 0)) if model.is_local else None
@@ -323,11 +349,15 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
                              disp_max - model.a_sup * (t_next - t0))
 
         rows[step + 1] = (t_next, mass, nu_min, nu_max, wm, w_max, speed_max)
-        if (step + 1) % snap_every == 0 or step + 1 == n_steps:
-            snapshots.append(ParticleEnsemble(
-                time=t_next, positions=pos.T.copy(), volumes=w.copy(),
-                intensities=nu.copy(), h=ens0.h))
+        if snapshot is not None and (step + 1) % snap_every == 0 \
+                and step + 1 < n_steps:
+            snapshot(_unpack(S, t_next, ens0.h))
 
+    final = initial
+    if n_steps:
+        final = _unpack(S, t_next, ens0.h)
+        if snapshot is not None:
+            snapshot(final)
     series = dict(zip(keys, table))
     mass_excess = max(0.0, float(np.max(series["mass"] - bound)))
     w_min = float(np.min(series["w_min"]))
@@ -340,5 +370,5 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig) -> Traje
         ok=(mass_excess <= 1e-6 * (1.0 + T) and support_excess <= 1e-9
             and w_min > 0.0),
     )
-    return Trajectory(model=model, dt=dt, n_steps=n_steps,
-                      snapshots=snapshots, series=series, monitors=monitors)
+    return Trajectory(model=model, dt=dt, n_steps=n_steps, initial=initial,
+                      final=final, series=series, monitors=monitors)

@@ -32,6 +32,35 @@ class TestOrderFit:
             pp.fit_convergence_order([(0.05, 1.0), (0.1, 0.5), (0.2, 0.1)])
         with pytest.raises(pp.AnalysisError):
             pp.fit_convergence_order([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
+        # distinct h whose logarithms round to one value give no slope
+        h = 1e300
+        with pytest.raises(pp.AnalysisError, match="one logarithm"):
+            pp.fit_convergence_order([(h * (1 + 4e-16), 1.0),
+                                      (h * (1 + 2e-16), 2.0), (h, 3.0)])
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(3, 8))
+    def test_matches_polyfit(self, seed, n):
+        """The closed-form line is np.polyfit's to rounding."""
+        rng = np.random.default_rng(seed)
+        hs = np.sort(rng.uniform(1e-4, 1.0, n))[::-1]
+        es = np.exp(rng.uniform(-20.0, 5.0, n))
+        fit = pp.fit_convergence_order(list(zip(hs, es)))
+        L, E = np.log(hs), np.log(es)
+        slope, intercept = np.polyfit(L, E, 1)
+        resid = np.max(np.abs(E - (slope * L + intercept)))
+        assert fit.order == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert fit.max_residual == pytest.approx(resid, rel=1e-12, abs=1e-12)
+
+    def test_calls_no_polyfit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.polyfit was called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        fit = pp.fit_convergence_order([(0.1, 0.3), (0.05, 0.1),
+                                        (0.025, 0.04)])
+        assert 1.0 < fit.order < 2.0
 
 
 def _flat_oracle(value=0.5, dx=0.05):

@@ -4,6 +4,8 @@ import csv
 import math
 import os
 import tempfile
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,14 +161,16 @@ def test_density_plot_spans_the_final_particles(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["simulate", "reproduce"])
 def test_every_csv_goes_through_write_csv(tmp_path, monkeypatch, command):
+    """Every CSV is opened by csv_file, the writer behind write_csv and
+    the one simulate streams its snapshots through."""
     written = []
-    write_csv = cli.write_csv
+    csv_file = cli.csv_file
 
-    def recorder(path, header, tables):
+    def recorder(path, header):
         written.append(os.path.relpath(path, out))
-        write_csv(path, header, tables)
+        return csv_file(path, header)
 
-    monkeypatch.setattr(cli, "write_csv", recorder)
+    monkeypatch.setattr(cli, "csv_file", recorder)
     monkeypatch.setenv("PHENOPART_REPRODUCE__N", "30")
     monkeypatch.setenv("PHENOPART_REPRODUCE__T_FINAL", "0.1")
     out = str(tmp_path / "out")
@@ -175,6 +179,64 @@ def test_every_csv_goes_through_write_csv(tmp_path, monkeypatch, command):
     on_disk = [name for name in _tree_bytes(out) if name.endswith(".csv")]
     assert len(on_disk) >= 3
     assert sorted(written) == sorted(on_disk)
+
+
+def test_simulate_holds_one_snapshot_at_a_time(tmp_path, monkeypatch):
+    """simulate writes each snapshot as the run hands it over: from the
+    second hand-over on, when the step buffers exist, the traced memory
+    stays within half a snapshot, where keeping the snapshots would add
+    one snapshot (96 kB at n = 4000) at each."""
+    integrate = cli.integrate
+    current = []
+
+    def traced(model, ens0, run, snapshot=None):
+        def recorded(snap):
+            current.append(tracemalloc.get_traced_memory()[0])
+            snapshot(snap)
+        return integrate(model, ens0, run, snapshot=recorded)
+
+    monkeypatch.setattr(cli, "integrate", traced)
+    monkeypatch.setenv("PHENOPART_DISCRETIZE__H", "1/4000")
+    monkeypatch.setenv("PHENOPART_TIME__T_FINAL", "0.016")
+    out = str(tmp_path / "out")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", _write(tmp_path, SIM_CFG),
+                     "--out", out]) == 0
+    finally:
+        tracemalloc.stop()
+    # 8 steps of 2e-3: t0 and every step
+    assert len(current) == 9
+    snapshot_bytes = 3 * 8 * 4000
+    assert max(current[1:]) - min(current[1:]) < snapshot_bytes / 2
+
+
+def test_failed_run_keeps_the_snapshots_it_reached(tmp_path, monkeypatch):
+    """A run whose growth turns NaN after t = 0.1 fails at t = 0.102,
+    exits 1 and leaves snapshots.csv with the snapshots before that: the
+    first bytes of the full run's file."""
+    cfg = _write(tmp_path, SIM_CFG)
+    full = tmp_path / "full"
+    assert main(["simulate", "--config", cfg, "--out", str(full)]) == 0
+    build = cli.build_objects
+
+    def poisoned(cfg):
+        profile, model, cutoff = build(cfg)
+        growth = model.growth
+        model.growth = lambda t, X, I: growth(t, X, I) * (
+            np.nan if t > 0.1 else 1.0)
+        return profile, model, cutoff
+
+    monkeypatch.setattr(cli, "build_objects", poisoned)
+    failed = tmp_path / "failed"
+    assert main(["simulate", "--config", cfg, "--out", str(failed)]) == 1
+    assert sorted(os.listdir(failed)) == ["snapshots.csv"]
+    partial = (failed / "snapshots.csv").read_bytes()
+    assert (full / "snapshots.csv").read_bytes().startswith(partial)
+    # 250 steps of 2e-3, a snapshot every 6: t = 0, 0.012, ..., 0.096
+    times = _csv_column(failed / "snapshots.csv", "t")
+    assert len(times) == 9 * 40
+    assert float(times[-1]) == pytest.approx(0.096)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -392,6 +454,21 @@ class TestExitCodes:
         assert code == 1
         assert "failed:" in capsys.readouterr().err
 
+    def test_step_count_cap(self, tmp_path, capsys, monkeypatch):
+        """A horizon of 10^9 steps is refused before its series is
+        allocated (52 GiB here)."""
+        monkeypatch.setenv("PHENOPART_TIME__T_FINAL", "1e6")
+        cfg = os.path.join(CONFIG_DIR, "nonlocal_toy.cfg")
+        start = time.perf_counter()
+        code = main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "failed: IntegrationError: t_final=1e+06 at dt=0.001 takes "
+            "1000000000 steps, more than 50000000; shorten t_final or raise "
+            "dt\n")
+
     @pytest.mark.parametrize("text, word", [
         ("[time]\nt_finale = 0.01\n", "t_finale"),
         ("[tyme]\nt_final = 0.01\n", "tyme"),
@@ -477,6 +554,15 @@ class TestExitCodes:
                            "TIME__T_FINAL": "0.01"}, "[model] r0"),
         ("simulate", SIM_CFG.replace("one-minus-x", "bump\nwidth = 1/0"),
          {}, "[initial] width"),
+        # profile parameters that leave no particle or a negative one
+        ("simulate", SELF_CFG.replace("width = 0.4", "width = 0"), {},
+         "width must be positive"),
+        ("simulate", SELF_CFG.replace("width = 0.4", "width = 0.4\nscale = 0"),
+         {}, "scale must be positive"),
+        ("simulate", SELF_CFG.replace("width = 0.4", "width = 0.4\nscale = -1"),
+         {}, "scale must be positive"),
+        ("simulate", SIM_CFG.replace("one-minus-x", "const\nvalue = 0"), {},
+         "value must be positive"),
         # builder parameters with a tuple default: a literal of finite
         # numbers nested like it, of one shape
         ("simulate", SIM_CFG.replace("one-minus-x", "bump-pair"),
@@ -498,7 +584,9 @@ class TestExitCodes:
             "unread-oracle-dx-negative", "unread-reproduce-n-zero",
             "unread-h_list-increasing", "unread-eps_q-above-one",
             "complex-constant-law", "unread-model-param-not-a-number",
-            "profile-param-not-finite", "profile-tuple-ragged",
+            "profile-param-not-finite", "profile-width-zero",
+            "profile-scale-zero", "profile-scale-negative",
+            "profile-const-zero", "profile-tuple-ragged",
             "profile-tuple-too-shallow", "profile-tuple-not-finite",
             "unread-profile-tuple-not-a-literal"])
     def test_bad_value(self, tmp_path, capsys, monkeypatch, command, text,
@@ -656,20 +744,27 @@ def _stacked_snapshots(snapshots):
 ], ids=["1D", "2D"])
 def test_snapshot_writer_matches_stacked_table(tmp_path, profile, name, h,
                                                steps):
-    """Streamed through write_csv one snapshot table at a time, the file
-    has the bytes of write_csv on the stacked copy, across block edges
-    inside and between snapshots."""
+    """Streamed through csv_file one snapshot table at a time while the
+    run goes, as simulate writes them, the file has the bytes of
+    write_csv on the stacked copy, across block edges inside and between
+    snapshots."""
     prof = pp.build_profile(profile)
     model = pp.build_model(name, prof.support)
     ens = pp.partition_support(prof, model, h, T=steps * 1e-3)
-    traj = pp.integrate(model, ens, pp.RunConfig(t_final=steps * 1e-3,
-                                                 dt=1e-3))
-    rows = sum(snap.n for snap in traj.snapshots)
-    assert rows > cli._CSV_BLOCK and cli._CSV_BLOCK % ens.n
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     header = ["t"] + cli._state_header(ens.dim)
-    cli.write_csv(str(new), header, map(cli._snapshot_table, traj.snapshots))
-    cli.write_csv(str(old), header, _stacked_snapshots(traj.snapshots))
+    snaps = []
+
+    def snapshot(snap):
+        snaps.append(snap)
+        append(cli._snapshot_table(snap))
+
+    with cli.csv_file(str(new), header) as append:
+        pp.integrate(model, ens, pp.RunConfig(t_final=steps * 1e-3, dt=1e-3),
+                     snapshot=snapshot)
+    rows = sum(snap.n for snap in snaps)
+    assert rows > cli._CSV_BLOCK and cli._CSV_BLOCK % ens.n
+    cli.write_csv(str(old), header, _stacked_snapshots(snaps))
     assert new.read_bytes() == old.read_bytes()
     assert new.read_bytes().count(b"\r\n") == rows + 1
 

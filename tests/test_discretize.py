@@ -80,9 +80,23 @@ class TestPartition:
         assert ens.mass() == pytest.approx(5.7, abs=1e-12)
 
     def test_empty_support_rejected(self, advsel_model):
-        prof = pp.build_profile("const", value=0.0, lo=0.0, hi=1.0)
-        with pytest.raises(pp.DiscretizationError):
-            pp.partition_support(prof, advsel_model, 0.25, T=0.0)
+        # the one cell of [0.2, 0.4] at h = 1 has its center 0.5 outside
+        # the bump's support
+        prof = pp.build_profile("bump", center=0.3, width=0.1)
+        with pytest.raises(pp.DiscretizationError, match="no particles"):
+            pp.partition_support(prof, advsel_model, 1.0, T=0.0)
+
+    @pytest.mark.parametrize("name, params", [
+        ("const", {"value": 0.0}), ("const", {"value": -1.0}),
+        ("bump", {"width": 0.0}), ("bump", {"scale": 0.0}),
+        ("bump", {"scale": -1.0}), ("bump", {"center": [0.5, 0.5],
+                                             "width": [0.3, 0.0]}),
+        ("bump-pair", {"width": 0.0}), ("bump-pair", {"scale": -1.0}),
+    ])
+    def test_non_positive_parameters_rejected(self, name, params):
+        key = "width" if "width" in params else next(iter(params))
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            pp.build_profile(name, **params)
 
     def test_cell_cap(self, advsel_profile, advsel_model):
         with pytest.raises(pp.DiscretizationError, match="cells"):

@@ -294,9 +294,12 @@ class TestBookkeeping:
     def test_zero_horizon_returns_initial_state(self, advsel_profile,
                                                 advsel_model):
         ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=0.0)
-        traj = pp.integrate(advsel_model, ens, pp.RunConfig(t_final=0.0))
+        snaps = []
+        traj = pp.integrate(advsel_model, ens, pp.RunConfig(t_final=0.0),
+                            snapshot=snaps.append)
         assert traj.n_steps == 0
-        assert len(traj.snapshots) == 1
+        assert len(snaps) == 1
+        assert snaps[0] is traj.initial is traj.final
         assert traj.final.positions.tobytes() == ens.positions.tobytes()
         assert traj.series["t"].shape == (1,)
         assert traj.monitors.ok
@@ -328,10 +331,12 @@ class TestBookkeeping:
     def test_snapshot_cadence(self, advsel_profile, advsel_model):
         """About 40 snapshots: every 130 // 40 = 3 steps, and the last."""
         ens = pp.partition_support(advsel_profile, advsel_model, 0.25, T=1.3)
+        snaps = []
         traj = pp.integrate(advsel_model, ens,
-                            pp.RunConfig(t_final=1.3, dt=0.01))
+                            pp.RunConfig(t_final=1.3, dt=0.01),
+                            snapshot=snaps.append)
         assert traj.n_steps == 130
-        times = [s.time for s in traj.snapshots]
+        times = [s.time for s in snaps]
         assert len(times) == 45
         assert times[:3] == pytest.approx([0.0, 0.03, 0.06])
         assert times[-2:] == pytest.approx([1.29, 1.3])
@@ -340,9 +345,9 @@ class TestBookkeeping:
                                             advsel_model):
         """A 10 000-step run keeps its series as one float64 array and no
         object per step: the traced peak stays under twice the bytes of
-        the series and the snapshots (a list of per-step tuples of Python
-        floats took about 7 times as much).  Each series value is a
-        C-contiguous float64 row, as the tobytes() comparisons need."""
+        the series (a list of per-step tuples of Python floats took about
+        7 times as much).  Each series value is a C-contiguous float64
+        row, as the tobytes() comparisons need."""
         ens = pp.partition_support(advsel_profile, advsel_model, 1 / 20,
                                    T=10.0)
         run = pp.RunConfig(t_final=10.0, dt=1e-3)
@@ -354,14 +359,31 @@ class TestBookkeeping:
             tracemalloc.stop()
         assert ens.n == 20 and traj.n_steps == 10_000
         series_bytes = 7 * 8 * (traj.n_steps + 1)
-        snapshot_bytes = sum(s.positions.nbytes + s.volumes.nbytes
-                             + s.intensities.nbytes for s in traj.snapshots)
-        assert peak < 2 * (series_bytes + snapshot_bytes)
+        assert peak < 2 * series_bytes
         assert len(traj.series) == 7
         for key, values in traj.series.items():
             assert values.dtype == np.float64, key
             assert values.shape == (traj.n_steps + 1,), key
             assert values.flags.c_contiguous, key
+
+    def test_no_callback_keeps_no_snapshot(self, advsel_profile,
+                                           advsel_model):
+        """Without a callback the run holds no snapshot: at n = 4000 and
+        400 steps (41 snapshots, 96 kB each) the traced peak stays under
+        the bytes of one copy of them all."""
+        ens = pp.partition_support(advsel_profile, advsel_model, 1 / 4000,
+                                   T=0.04)
+        run = pp.RunConfig(t_final=0.04, dt=1e-4)
+        tracemalloc.start()
+        try:
+            traj = pp.integrate(advsel_model, ens, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.n == 4000 and traj.n_steps == 400
+        snapshot_bytes = (ens.positions.nbytes + ens.volumes.nbytes
+                          + ens.intensities.nbytes)
+        assert peak < 41 * snapshot_bytes
 
     def test_default_dt_respects_cell_crossing(self):
         assert pp.default_dt(1.0, 0.0) == 1e-3
@@ -517,7 +539,9 @@ def test_step_loop_matches_reference_bitwise(name):
     # 130 steps: a snapshot every 3 steps, and the last off that cadence
     T, dt = 0.52, 4e-3
     ens = pp.partition_support(prof, model, h, T=T)
-    traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=dt))
+    snaps = []
+    traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=dt),
+                        snapshot=snaps.append)
     assert traj.n_steps == 130
     if name == "mutation":
         assert 0 < dynamics._mutation_rows(model, ens, T).size < ens.n
@@ -530,8 +554,9 @@ def test_step_loop_matches_reference_bitwise(name):
         model, ens, traj.dt, traj.n_steps, 3)
     assert [col.tobytes() for col in traj.series.values()] == \
         [col.tobytes() for col in series]
-    assert len(traj.snapshots) == len(snapshots)
-    for got, want in zip(traj.snapshots, snapshots):
+    assert len(snaps) == len(snapshots)
+    assert snaps[0] is traj.initial and snaps[-1] is traj.final
+    for got, want in zip(snaps, snapshots):
         assert got.time == want.time
         for a, b in ((got.positions, want.positions),
                      (got.volumes, want.volumes),
