@@ -3,8 +3,9 @@
 Subcommands
 -----------
 simulate   one particle run from a config; time series, final state, report
-converge   an h-sweep measured against the grid reference (local advection)
-           or against a run at half the finest h (non-local); fitted orders
+converge   an h-sweep measured against the grid reference where its
+           `check_scope` admits the model, else against a run at half the
+           finest h; fitted orders
 asymptote  long-horizon N-sweep; cluster reports and a preservation verdict
 reproduce  four built-in advsel1d long-run scenarios; cluster reports
            and a summary table
@@ -529,6 +530,8 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
     if _get(cfg, "oracle", "enabled"):
         oracle = _oracle_config(cfg, model)
     ens0 = partition_support(profile, model, h, t_final)
+    # a step count that integrate refuses fails here, before --out exists
+    run.steps(ens0.h, model.a_sup)
 
     os.makedirs(out, exist_ok=True)
     # each snapshot is written as the run reaches it and then dropped, so
@@ -587,10 +590,12 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
     h_list = _get(cfg, "converge", "h_list")
     # both paths need a valid eps rule at every h; check it before any run
     eps_list = [_epsilon(cfg, h) for h in h_list]
-    if not model.is_local:
+    try:
+        check_scope(model)
+    except OracleError:
         return _self_converge(cfg, out, model, cutoff, run, h_list, workers)
 
-    sol = solve_reference(model, profile, _oracle_config(cfg, model), t_final)
+    sol = solve_reference(model, profile, _reference_config(cfg), t_final)
     members = _pool_map(_member, [(cfg, run, h, sol.x) for h in h_list],
                         workers)
     rows = [(h, eps, fin.n, l1_distance(sol, recon),
@@ -635,7 +640,7 @@ def cmd_converge(cfg, out: str, workers: int) -> int:
 
 
 def _self_converge(cfg, out, model, cutoff, run, h_list, workers) -> int:
-    """No grid reference covers non-local advection: every h is measured
+    """For a model outside the grid reference's scope: every h is measured
     against one particle run at half the finest h.  All runs are
     reconstructed on one grid of spacing eps(truth)/4 over the active box,
     padded by 4 cutoff radii at the coarsest eps."""

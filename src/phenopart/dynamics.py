@@ -113,6 +113,19 @@ class RunConfig:
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
 
+    def steps(self, h: float, a_sup: float) -> tuple:
+        """(n_steps, dt) of a run at spacing h under the speed bound a_sup:
+        the step is shortened to divide t_final.  A run of more than
+        MAX_STEPS steps raises IntegrationError."""
+        T = self.t_final
+        dt = self.dt if self.dt is not None else default_dt(h, a_sup)
+        n_steps = 0 if T == 0.0 else max(1, int(math.ceil(T / dt - 1e-9)))
+        if n_steps > MAX_STEPS:
+            raise IntegrationError(
+                f"t_final={T:g} at dt={dt:g} takes {n_steps} steps, more "
+                f"than {MAX_STEPS}; shorten t_final or raise dt")
+        return n_steps, (T / n_steps if n_steps else dt)
+
 
 @dataclass(frozen=True)
 class MonitorReport:
@@ -256,13 +269,7 @@ def integrate(model: ModelSpec, ens0: ParticleEnsemble, cfg: RunConfig,
     if ens0.n == 0:
         raise IntegrationError("cannot integrate an empty ensemble")
     T = cfg.t_final
-    dt = cfg.dt if cfg.dt is not None else default_dt(ens0.h, model.a_sup)
-    n_steps = 0 if T == 0.0 else max(1, int(math.ceil(T / dt - 1e-9)))
-    if n_steps > MAX_STEPS:
-        raise IntegrationError(
-            f"t_final={T:g} at dt={dt:g} takes {n_steps} steps, more than "
-            f"{MAX_STEPS}; shorten t_final or raise dt")
-    dt = T / n_steps if n_steps else dt
+    n_steps, dt = cfg.steps(ens0.h, model.a_sup)
     snap_every = max(1, n_steps // 40)
 
     d, n = ens0.dim, ens0.n

@@ -131,13 +131,37 @@ class Box:
         return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
-        """Low-discrepancy sample of n interior points (deterministic)."""
-        # scipy.stats is slow to import and nothing else reads it
-        from scipy.stats import qmc
-
-        eng = qmc.Sobol(d=self.dim, scramble=True, seed=seed)
-        u = eng.random(n)
+        """Low-discrepancy sample of n interior points (deterministic): the
+        Halton sequence (Numer. Math. 2, 1960), coordinate k in the k-th
+        prime base, started at an index drawn from `seed`."""
+        start = int(np.random.default_rng(seed).integers(1, 2**31))
+        index = start + np.arange(n, dtype=np.int64)
+        u = np.column_stack([_radical_inverse(index, base)
+                             for base in _primes(self.dim)])
         return self.lo + u * (self.hi - self.lo)
+
+
+def _primes(n: int) -> list:
+    """The first n primes."""
+    found = []
+    k = 2
+    while len(found) < n:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """The base-b digits of each index >= 1 mirrored about the radix
+    point: a value strictly inside (0, 1)."""
+    u = np.zeros(index.shape)
+    scale = 1.0 / base
+    while np.any(index):
+        index, digit = np.divmod(index, base)
+        u += scale * digit
+        scale /= base
+    return u
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ iteration on the new time level.  Its pieces:
 
 - `_flow`: the nodes' backward feet by RK4 on dx/dt = a(t, x)
   (sub-stepped to <= 1e-3), with their PCHIP cells and div a;
-  `_edges`: the support edges flowed forward on the same substeps
+  `_edges`: the support edges flowed forward on the same substeps and,
+  under mutation, widened to their hull with supp_x m
 - `_transport`: v(t_n, .) at the feet by our own monotone cubic, the
   Fritsch-Carlson PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980)
   with Moler's one-sided three-point end slopes (Numerical Computing with
@@ -20,8 +21,8 @@ iteration on the new time level.  Its pieces:
   E = dt/2 [G(t_n, Y) + G(t_{n+1}, x)], the t_n part frozen
 - `_source`: the mutation influx int m(., ., z, I_d) v(z) dz, by the
   trapezoid rule in time
-- `_clip`: without mutation, zero outside the flowed support, which stops
-  interpolation bleed across the support-edge jump cell
+- `_clip`: zero outside the tracked support, which stops interpolation
+  bleed across the support-edge jump cell
 - `_fixed_point` stops when the L1 update drops below FIXED_POINT_RTOL
   (1 + mass); `_advance` halves a sub-interval that does not contract
   within MAX_FIXED_POINT_ITER iterations, down to MIN_DT
@@ -286,11 +287,11 @@ def _grid_nonlocal(kernel: Kernel, t: float, xq: np.ndarray, grid: np.ndarray,
 
 @dataclass
 class _State:
-    """A time level: v, wv and the flowed support edges (None: mutation)."""
+    """A time level: v, wv and the tracked support edges."""
 
     v: np.ndarray
     wv: np.ndarray
-    edges: np.ndarray | None
+    edges: np.ndarray
 
 
 @dataclass
@@ -336,10 +337,12 @@ def _flow(sv, t, Dt, n_sub):
 
 def _edges(sv, edges, t, Dt, n_sub):
     """The support edges flowed forward over [t, t + Dt] on the feet's
-    substeps, and the node range [lo, hi) between them (None: mutation)."""
-    if edges is None:
-        return None, None
+    substeps, and the node range [lo, hi) between them.  Under mutation
+    they widen to their hull with supp_x m, where offspring land."""
     edges = _rk4_flow(sv.model, edges, t, Dt / n_sub, n_sub)
+    m_x = sv.model.support_m_x
+    if m_x is not None:
+        edges = np.array([min(edges[0], m_x.lo[0]), max(edges[1], m_x.hi[0])])
     lo = int(np.searchsorted(sv.x, edges[0], side="left"))
     hi = int(np.searchsorted(sv.x, edges[1], side="right"))
     if hi - lo < 2:
@@ -371,9 +374,8 @@ def _source(sv, t, pts, wv):
 
 def _clip(v, span):
     """Zero v outside the support's node range [lo, hi), in place."""
-    if span is not None:
-        v[:span[0]] = 0.0
-        v[span[1]:] = 0.0
+    v[:span[0]] = 0.0
+    v[span[1]:] = 0.0
 
 
 def _fixed_point(sv, old, t, Dt):
@@ -430,8 +432,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     G = int(round((cfg.x_hi - cfg.x_lo) / cfg.dx))
     x = cfg.x_lo + cfg.dx * np.arange(G + 1)
     v = v0(x[:, None])
-    edges = None if model.mutation is not None else np.array(
-        [float(v0.support.lo[0]), float(v0.support.hi[0])])
+    edges = np.array([float(v0.support.lo[0]), float(v0.support.hi[0])])
     sv = _Solve(model, x, cfg.dx, float(np.min(v)))
     state = _State(v, _support_weights(v, cfg.dx) * v, edges)
     del v  # only `state` holds the initial level: the first step frees it

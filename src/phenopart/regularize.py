@@ -6,9 +6,13 @@ turns a particle ensemble into the function
     v_eps(x) = sum_i nu_i w_i eps^{-d} phi((x - x_i)/eps).
 
 The reconstruction error splits into a smoothing part eps^r and a quadrature
-part (h/eps)^kappa (+ h^kappa), with kappa the convergence order of the
-particle flow.  Balancing the two parts gives the bandwidth rule
-eps(h) = h^{kappa/(kappa+r)}, which is how the exponent q of
+part (h/eps)^m, plus the particle flow's own error (Raviart, An analysis of
+particle methods, LNM 1127, 1985).  The exponent m is the cutoff's
+smoothness: how many of its derivatives are integrable, capped by the
+smoothness of the density.  A smooth cutoff on smooth data makes m large,
+so the error approaches eps^r = h^{rq}: `gaussian4` (r = 4) at q = 0.8
+measures L1 orders rising toward 3.2.  Balancing the two parts gives the
+bandwidth rule eps(h) = h^{m/(m+r)}, which is how the exponent q of
 `epsilon_rule`, eps = h^q, is chosen.
 
 Cutoffs are product-form in d dimensions: phi(x) = prod_k profile(x_k).
@@ -229,8 +233,8 @@ def reconstruct(ens: ParticleEnsemble, phi: CutoffSpec, eps: float,
 def epsilon_rule(h: float, q: float) -> float:
     """Bandwidth eps = h^q with 0 < q < 1.
 
-    The balanced exponent q = kappa/(kappa+r) equates the smoothing error
-    eps^r with the quadrature error (h/eps)^kappa.
+    The balanced exponent q = m/(m+r) equates the smoothing error eps^r
+    with the quadrature error (h/eps)^m, m the cutoff's smoothness.
     """
     if h <= 0 or h >= 1:
         raise ValueError("epsilon rule expects 0 < h < 1")

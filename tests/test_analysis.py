@@ -246,8 +246,9 @@ def test_four_basins_four_clusters_in_2d():
 
 
 def test_dirac_conditions_without_mutation_leave_scipy_stats_unloaded():
-    """Only the mutation residual reads the Sobol sample of `Box.sample`,
-    so a model without mutation must not pay the scipy.stats import."""
+    """The Dirac conditions must not pay the scipy.stats import: only the
+    mutation residual samples, and `Box.sample` draws its points in
+    numpy."""
     code = ("import sys, numpy as np, phenopart as pp\n"
             "prof = pp.build_profile('const6')\n"
             "model = pp.build_model('advsel1d', prof.support, r0=6.0, r1=0.5)\n"
@@ -262,7 +263,7 @@ def test_dirac_conditions_without_mutation_leave_scipy_stats_unloaded():
 
 
 def test_dirac_conditions_sample_the_mutation():
-    """With mutation, the residual is sup |m(x, c, 0)| over the 128 Sobol
+    """With mutation, the residual is sup |m(x, c, 0)| over the 128 Halton
     points of the padded support box."""
     sup = pp.Box([0.0], [1.0])
     base = pp.build_model("advsel1d", sup)

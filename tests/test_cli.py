@@ -271,6 +271,28 @@ def test_converge_deterministic_across_workers(tmp_path):
     assert rep["l1_decreasing"] == "true"
 
 
+def test_simulate_oracle_matches_converge(tmp_path):
+    """`simulate` with the oracle on measures its run as `converge` does
+    the sweep member at the same h: both errors and the oracle mass agree
+    bit for bit, and the density plot draws both series."""
+    cfg = _write(tmp_path, CONVERGE_CFG)
+    sim, conv = str(tmp_path / "sim"), str(tmp_path / "conv")
+    assert main(["simulate", "--config", cfg, "--out", sim]) == 0
+    assert main(["converge", "--config", cfg, "--out", conv]) == 0
+    rep = _report_dict(os.path.join(sim, "report.txt"))
+    assert rep["h"] == repr(1 / 40)
+    with open(os.path.join(conv, "errors.csv"), newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["h"] == rep["h"])
+    assert rep["l1_error"] == row["l1_error"]
+    assert rep["weighted_error"] == row["weighted_error"]
+    assert rep["oracle_mass"] == _report_dict(
+        os.path.join(conv, "report.txt"))["oracle_mass"]
+    with open(os.path.join(sim, "density.svg")) as fh:
+        svg = fh.read()
+    assert svg.count("<polyline") == 2
+    assert ">reconstruction</text>" in svg and ">reference</text>" in svg
+
+
 def test_converge_nonlocal_self_convergence(tmp_path):
     cfg = _write(tmp_path, SELF_CFG)
     outs = []
@@ -456,7 +478,7 @@ class TestExitCodes:
 
     def test_step_count_cap(self, tmp_path, capsys, monkeypatch):
         """A horizon of 10^9 steps is refused before its series is
-        allocated (52 GiB here)."""
+        allocated (52 GiB here), and before `--out` is created."""
         monkeypatch.setenv("PHENOPART_TIME__T_FINAL", "1e6")
         cfg = os.path.join(CONFIG_DIR, "nonlocal_toy.cfg")
         start = time.perf_counter()
@@ -464,6 +486,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x")])
         assert time.perf_counter() - start < 1.0
         assert code == 1
+        assert not (tmp_path / "x").exists()
         assert capsys.readouterr().err == (
             "failed: IntegrationError: t_final=1e+06 at dt=0.001 takes "
             "1000000000 steps, more than 50000000; shorten t_final or raise "

@@ -434,6 +434,18 @@ def test_box_sample_deterministic():
     assert box.contains(s1).all()
 
 
+def test_box_sample_stratifies():
+    """Any 2^k consecutive Halton indices put one point in each of the 2^k
+    equal cells of the base-2 coordinate; the points lie strictly inside,
+    and each seed starts its own run of the sequence."""
+    box = pp.Box([0.0, 0.0], [1.0, 1.0])
+    samples = [box.sample(256, seed=seed) for seed in (0, 1)]
+    for s in samples:
+        assert np.all((s > 0.0) & (s < 1.0))
+        assert sorted(np.floor(s[:, 0] * 256).astype(int)) == list(range(256))
+    assert not np.any(samples[0][:, 1] == samples[1][:, 1])
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -80,8 +80,8 @@ def test_import_rules(module, source, only, never):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs about a second of start-up and only `Box.sample`
-    reads it, so importing the package and its CLI must not load it."""
+    """scipy.stats costs about a second of start-up and the package reads
+    none of it, so importing the package and its CLI must not load it."""
     code = ("import sys, phenopart, phenopart.cli; "
             "print('scipy.stats' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(pp.__path__[0]))

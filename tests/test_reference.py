@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import phenopart as pp
 from phenopart import reference
+from phenopart.discretize import _bump_1d
 from phenopart.reference import (PchipInterpolator, _at, _cells, _Nodes,
                                  _rk4_flow, _substeps, _support_weights,
                                  check_scope)
@@ -113,9 +114,10 @@ def test_negative_density_is_an_error():
 
 
 def test_halved_steps_under_mutation(monkeypatch):
-    """Halving runs without support edges under mutation: forced by a cap
-    of 3 iterations, the solve keeps one mass sample per outer step and
-    lands closer to e^{mu T} than the unforced one."""
+    """Halving runs under mutation, whose support edges widen to
+    supp_x m = [0, 1]: forced by a cap of 3 iterations, the solve keeps one
+    mass sample per outer step and lands closer to e^{mu T} than the
+    unforced one."""
     prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
     cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=0.1)
     expect = math.exp(0.5)
@@ -128,6 +130,56 @@ def test_halved_steps_under_mutation(monkeypatch):
     err = abs(halved.mass() - expect)
     assert err < 1e-6
     assert err < abs(unforced.mass() - expect)
+
+
+def _mutating_advsel(mu=0.5):
+    """advsel1d with R lowered by mu and offspring law
+    m(x, y) = mu bump((x - y)/0.1)/Z on [0, 1]^2, Z = 0.1 int bump: a parent
+    away from the edges gives birth at the rate R loses."""
+    u = np.linspace(-1.0, 1.0, 20001)
+    Z = 0.1 * float(np.trapezoid(_bump_1d(u), u))
+
+    def mutation(t, X, Y, I):
+        x, y = X[:, :1], Y[None, :, 0]
+        inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+        return np.where(inside, mu * _bump_1d((x - y) / 0.1) / Z, 0.0)
+
+    prof = pp.build_profile("one-minus-x")
+    base = pp.build_model("advsel1d", prof.support)
+    sup = pp.Box([0.0], [1.0])
+    model = dataclasses.replace(
+        base, growth=lambda t, X, I: base.growth(t, X, I) - mu,
+        mutation=mutation, kernel_d=pp.constant_kernel(1.0),
+        support_m_x=sup, support_m_y=sup, M_bar=mu / Z)
+    return model, prof
+
+
+def test_mutation_stays_in_its_support():
+    """Under mutation the solve clips to the flowed support widened to
+    supp_x m = [0, 1]: no node outside it holds density, and with no
+    unclipped jump cell the mass moves far less than O(dx) on halving dx
+    (without the clip: up to 1.0e-3 outside and a step of 3.6e-3)."""
+    model, prof = _mutating_advsel()
+    masses = []
+    for dx in (1 / 100, 1 / 200):
+        cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=dx, dt=2e-3)
+        sol = pp.solve_reference(model, prof, cfg, 0.1)
+        outside = (sol.x < 0.0) | (sol.x > 1.0)
+        np.testing.assert_array_equal(sol.v[outside], 0.0)
+        masses.append(sol.mass())
+    assert abs(masses[0] - masses[1]) < 4e-4
+
+
+def test_offspring_land_beyond_the_initial_support():
+    """Data on [0.4, 0.6] under m = mu on supp_x m = [0, 1]: the tracked
+    support widens to [0, 1], so the offspring fill it evenly, also where
+    the data were 0."""
+    prof = pp.build_profile("const", value=1.0, lo=0.4, hi=0.6)
+    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=1e-2)
+    sol = pp.solve_reference(_pure_mutation(0.5), prof, cfg, 1.0)
+    offspring = sol.v[(sol.x < 0.35) | (sol.x > 0.65)]
+    assert offspring.min() > 0.1
+    assert np.ptp(offspring) < 1e-12
 
 
 def test_support_stays_sharp_under_nonuniform_flow(advsel_profile,
@@ -281,6 +333,29 @@ def test_refinement_history():
     assert hist[1][0] == pytest.approx(0.05)
     assert abs(hist[-1][1] - hist[-2][1]) < 1e-4
     assert sol.dx == hist[-1][0]
+
+
+@pytest.mark.parametrize("x_free", [True, False])
+def test_grid_nonlocal_matches_dense_sum(x_free):
+    """An x-free kernel's one row and a graded kernel's row blocks give the
+    dense support-weighted sum, on more query points than one block."""
+    grid = np.linspace(-0.25, 1.25, 301)
+    v = np.where((grid >= 0.0) & (grid <= 1.0), 1.0 - grid, 0.0)
+    wv = _support_weights(v, grid[1] - grid[0]) * v
+    xq = np.linspace(-1.0, 2.0, reference._ROW_CHUNK + 37)
+    if x_free:
+        kernel = pp.Kernel("y2", lambda t, X, Y: np.broadcast_to(
+            t + Y[None, :, 0] ** 2, (X.shape[0], Y.shape[0])), x_free=True)
+    else:
+        kernel = pp.Kernel("gauss", lambda t, X, Y: np.exp(
+            -t * (X[:, :1] - Y[None, :, 0]) ** 2))
+    got = reference._grid_nonlocal(kernel, 0.5, xq, grid, wv)
+    dense = pp.pair_sum(kernel.func(0.5, xq[:, None], grid[:, None])
+                        * wv[None, :], axis=-1)
+    assert got.shape == (xq.size,)
+    np.testing.assert_array_equal(got, dense)
+    # the x-free branch shares one value; the graded one varies with x
+    assert (np.ptp(got) == 0.0) == x_free
 
 
 class TestSupportWeights:
