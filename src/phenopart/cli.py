@@ -371,14 +371,22 @@ _CSV_BLOCK = 1024
 
 def _column_cells(col, width: int) -> list:
     """`_cell` of every entry; a numpy array is formatted through its
-    Python scalars, one call per column instead of one per cell."""
+    Python scalars, one call per column instead of one per cell.  A
+    float64 column calls `repr` once per distinct bit pattern, not once
+    per cell: `repr` reads only the bits, and keying on them keeps -0.0
+    apart from 0.0 (every NaN pattern prints "nan")."""
     if isinstance(col, np.ndarray):
         if col.dtype == np.bool_:
             return ["true" if v else "false" for v in col.tolist()]
         if col.dtype.kind in "iu":
             return list(map(str, col.tolist()))
-        if col.dtype.kind == "f":
-            return list(map(repr, col.tolist()))
+        if col.dtype == np.float64:
+            # a strided column views as uint64 in place: same itemsize
+            bits, inverse = np.unique(col.view(np.uint64),
+                                      return_inverse=True)
+            cells = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                             dtype=object)
+            return cells[inverse].tolist()
     return _unquoted([_cell(v) for v in col], width)
 
 
@@ -410,9 +418,11 @@ def csv_file(path: str, header):
             for lo in range(0, n, _CSV_BLOCK):
                 cells = [_column_cells(col[lo:lo + _CSV_BLOCK], len(columns))
                          for col in columns]
-                # one line at a time, and no name holds a block's cells
-                # while the next block is formatted: a block joined into
-                # one text, or kept alive, raises the peak memory by it
+                # one line at a time, from cells that repeat one string
+                # per distinct float (a snapshot's time, shared lattice
+                # coordinates); no name holds a block's cells while the
+                # next block is formatted: a block joined into one text,
+                # or kept alive, raises the peak memory by it
                 fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
                 del cells
 

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# the largest lattice partition_support builds, in cells
+MAX_CELLS = 50_000_000
+
+
 class DiscretizationError(RuntimeError):
     """The requested lattice produced no usable particles."""
 
@@ -137,12 +141,17 @@ def partition_support(v0: InitialDensity, model: ModelSpec, h: float,
         raise DiscretizationError("profile/model dimension mismatch")
     reach = mutation_reach(model, T)
     box = v0.support if reach is None else v0.support.union(reach)
-    lo_idx = np.floor(box.lo / h).astype(np.int64)
-    hi_idx = np.ceil(box.hi / h).astype(np.int64) - 1
-    counts = hi_idx - lo_idx + 1
-    total = int(np.prod(counts.astype(float)))
-    if total > 50_000_000:
-        raise DiscretizationError(f"lattice of {total} cells is unreasonably large")
+    # the cells are counted in float before any cast: a tiny h overflows
+    # an int64 index, and a subnormal one overflows box / h to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = np.floor(box.lo / h), np.ceil(box.hi / h)
+        cells = np.prod(hi - lo)
+    if not cells <= MAX_CELLS:  # nan where both edges overflow
+        raise DiscretizationError(
+            f"h={h:g} makes a lattice of more than {MAX_CELLS} cells; "
+            "raise h")
+    lo_idx = lo.astype(np.int64)
+    counts = (hi - lo).astype(np.int64)
 
     axes = [lo_idx[k] + np.arange(counts[k], dtype=np.int64) for k in range(model.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

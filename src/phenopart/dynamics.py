@@ -119,12 +119,17 @@ class RunConfig:
         MAX_STEPS steps raises IntegrationError."""
         T = self.t_final
         dt = self.dt if self.dt is not None else default_dt(h, a_sup)
-        n_steps = 0 if T == 0.0 else max(1, int(math.ceil(T / dt - 1e-9)))
-        if n_steps > MAX_STEPS:
+        if T == 0.0:
+            return 0, dt
+        # compared in float before the cast: a tiny dt makes T / dt
+        # overflow to inf, and a huge a_sup makes the default dt 0
+        steps = T / dt - 1e-9 if dt > 0 else math.inf
+        if steps > MAX_STEPS:
             raise IntegrationError(
-                f"t_final={T:g} at dt={dt:g} takes {n_steps} steps, more "
+                f"t_final={T:g} at dt={dt:g} takes {steps:.3g} steps, more "
                 f"than {MAX_STEPS}; shorten t_final or raise dt")
-        return n_steps, (T / n_steps if n_steps else dt)
+        n_steps = max(1, math.ceil(steps))
+        return n_steps, T / n_steps
 
 
 @dataclass(frozen=True)

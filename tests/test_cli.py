@@ -489,8 +489,31 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
         assert capsys.readouterr().err == (
             "failed: IntegrationError: t_final=1e+06 at dt=0.001 takes "
-            "1000000000 steps, more than 50000000; shorten t_final or raise "
+            "1e+09 steps, more than 50000000; shorten t_final or raise "
             "dt\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, value", [
+        ("MODEL__DRIFT0", "1e308"), ("TIME__DT", "1e-320"),
+        ("MODEL__DRIFT0", "1e300"), ("TIME__DT", "1e-300"),
+    ], ids=["drift0-dt-zero", "dt-subnormal", "drift0-huge", "dt-tiny"])
+    def test_step_count_overflow(self, tmp_path, capsys, monkeypatch, key,
+                                 value):
+        """A step count past the int range, or a default dt of 0 (h / 2
+        a_sup underflows), is refused by the step cap before `--out` is
+        created, with its count in a few digits, not with a
+        ZeroDivisionError, an OverflowError or a count of 300 digits."""
+        monkeypatch.setenv(f"PHENOPART_{key}", value)
+        cfg = os.path.join(CONFIG_DIR, "nonlocal_toy.cfg")
+        code = main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert not (tmp_path / "x").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("failed: IntegrationError: t_final=1 at dt=")
+        assert err.endswith(" steps, more than 50000000; shorten t_final "
+                            "or raise dt\n")
+        assert len(err) < 160
 
     @pytest.mark.parametrize("text, word", [
         ("[time]\nt_finale = 0.01\n", "t_finale"),
@@ -790,6 +813,110 @@ def test_snapshot_writer_matches_stacked_table(tmp_path, profile, name, h,
     cli.write_csv(str(old), header, _stacked_snapshots(snaps))
     assert new.read_bytes() == old.read_bytes()
     assert new.read_bytes().count(b"\r\n") == rows + 1
+
+
+# float64 bit patterns that the float cells must keep apart although
+# some compare equal (+-0.0) or print alike (every NaN)
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000,  # +0.0, -0.0
+    0x7FF8000000000000, 0xFFF8000000000000,  # quiet NaN, both signs
+    0x7FF0000000000001, 0xFFF00000DEADBEEF,  # signalling NaN payloads
+    0x7FF8000000000ABC, 0x7FF0000000000000,  # payload NaN, +inf
+    0xFFF0000000000000, 0x0000000000000001,  # -inf, smallest subnormal
+    0x800FFFFFFFFFFFFF, 0x0010000000000000,  # subnormal, smallest normal
+    0x3FB999999999999A, 0x3FB999999999999B,  # 0.1 and its neighbour
+]
+
+
+def _bits(patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def test_float_cells_keep_every_bit_pattern():
+    """Float cells equal the row writer's on every special pattern,
+    repeated across block edges, with a run of -0.0 over the first edge
+    and 0.0 inside it, and on the strided rows of an (n, 2) array's .T."""
+    col = _bits(np.resize(np.array(SPECIAL_BITS, dtype=np.uint64), LONG))
+    col[cli._CSV_BLOCK - 20:cli._CSV_BLOCK + 20] = -0.0
+    col[cli._CSV_BLOCK - 3] = 0.0
+    pairs = np.empty((LONG, 2))
+    pairs[:, 0], pairs[:, 1] = col[::-1], col
+    strided = list(pairs.T)
+    assert not strided[0].flags.c_contiguous
+    new, old = _both_writers(["f", "x0", "x1"], [col] + strided)
+    assert new == old
+    first = [line.split(b",")[0] for line in new.split(b"\r\n")[1:-1]]
+    assert first[cli._CSV_BLOCK - 4:cli._CSV_BLOCK - 2] == [b"-0.0", b"0.0"]
+    assert new.count(b"nan") == 3 * int(np.isnan(col).sum())
+
+
+@st.composite
+def _bit_columns(draw):
+    """A float64 column of raw bit patterns: a few drawn patterns cycled,
+    so that blocks repeat them, with patterns from the whole uint64 range
+    spliced in at drawn rows."""
+    n = draw(st.sampled_from([1, 5, cli._CSV_BLOCK, LONG]))
+    pool = draw(st.lists(st.integers(0, 2 ** 64 - 1)
+                         | st.sampled_from(SPECIAL_BITS),
+                         min_size=1, max_size=8))
+    bits = np.resize(np.array(pool, dtype=np.uint64), n)
+    for row, pattern in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, 2 ** 64 - 1)),
+            max_size=20)):
+        bits[row] = pattern
+    return bits.view(np.float64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bit_columns())
+def test_float_cells_match_row_writer_on_bit_patterns(col):
+    new, old = _both_writers(["f"], [col])
+    assert new == old
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, cli._CSV_BLOCK])
+def test_float_block_calls_repr_once_per_distinct_pattern(tmp_path,
+                                                         monkeypatch, k):
+    """A block of 1024 float cells with k distinct bit patterns, +-0.0
+    and two NaNs among them, formats k strings."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return repr(value)
+
+    patterns = (SPECIAL_BITS[:4] + list(range(1, cli._CSV_BLOCK)))[:k]
+    col = _bits(np.resize(np.array(patterns, dtype=np.uint64),
+                          cli._CSV_BLOCK))
+    monkeypatch.setattr(cli, "repr", counting, raising=False)
+    cli.write_csv(str(tmp_path / "x.csv"), ["f"], [[col]])
+    assert len(calls) == k
+
+
+def test_simulate_snapshots_match_row_writer(tmp_path, monkeypatch):
+    """simulate's 2D snapshots.csv has the row writer's bytes over the
+    same snapshot tables."""
+    integrate = cli.integrate
+    snaps = []
+
+    def recorded(model, ens0, run, snapshot=None):
+        def keep(snap):
+            snaps.append(snap)
+            snapshot(snap)
+        return integrate(model, ens0, run, snapshot=keep)
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    monkeypatch.setenv("PHENOPART_TIME__T_FINAL", "0.05")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config",
+                 os.path.join(CONFIG_DIR, "friedman_pair.cfg"),
+                 "--out", str(out)]) == 0
+    assert len(snaps) > 2 and snaps[0].dim == 2
+    rows = (row for snap in snaps for row in zip(*cli._snapshot_table(snap)))
+    _reference_write_csv(str(tmp_path / "old.csv"),
+                         ["t"] + cli._state_header(2), rows)
+    assert ((out / "snapshots.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
 
 
 def test_column_writer_rejects_ragged_columns(tmp_path):

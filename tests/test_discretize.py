@@ -102,6 +102,17 @@ class TestPartition:
         with pytest.raises(pp.DiscretizationError, match="cells"):
             pp.partition_support(advsel_profile, advsel_model, 1e-9, T=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [1e-9, 1e-300, 5e-324])
+    def test_cell_cap_names_h(self, advsel_profile, advsel_model, h):
+        """The cells are counted before any int64 cast: an h too small for
+        the index is refused under the cap, naming h and the cap, with no
+        cast warning and not as a lattice without particles."""
+        with pytest.raises(pp.DiscretizationError) as info:
+            pp.partition_support(advsel_profile, advsel_model, h, T=0.0)
+        assert str(info.value) == (
+            f"h={h:g} makes a lattice of more than 50000000 cells; raise h")
+
     def test_zero_cells_kept_inside_mutation_source(self):
         # a density vanishing on part of the mutation source support:
         # those cells must stay (they can gain intensity later)
