@@ -117,8 +117,7 @@ def _unknown_keys(section: str, keys, allowed) -> None:
 def _builder_args(cfg, section: str) -> tuple:
     """Builder name and keyword arguments of [section], whose keys are the
     builder's parameters: one whose default is a number parses as one, one
-    whose default is a tuple as a literal of numbers nested like it, any
-    other is passed as its text."""
+    whose default is a tuple as a literal of numbers nested like it."""
     key, table, skip = BUILDERS[section]
     name = cfg[section][key]
     if name not in table:
@@ -128,18 +127,15 @@ def _builder_args(cfg, section: str) -> tuple:
     parsers = {p.name: _default_parser(p.default) for p in params}
     args = {k: v for k, v in cfg[section].items() if k != key}
     _unknown_keys(section, args, parsers)
-    return name, {k: _parsed(section, k, parsers[k], v) if parsers[k] else v
+    return name, {k: _parsed(section, k, parsers[k], v)
                   for k, v in args.items()}
 
 
 def _default_parser(default):
-    """The parser of a builder parameter with this default; None keeps
-    the text."""
+    """The parser of a builder parameter with this default."""
     if isinstance(default, tuple):
         return lambda text: _num_literal(text, default)
-    if isinstance(default, (int, float)) and not isinstance(default, bool):
-        return _num
-    return None
+    return _num
 
 
 def _num_literal(text: str, default: tuple) -> tuple:
@@ -578,8 +574,7 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
         # padded by the kernel's reach
         lo = float(np.min(fin.positions)) - cutoff.radius * eps
         hi = float(np.max(fin.positions)) + cutoff.radius * eps
-        grid = lo + (eps / 4.0) * np.arange(
-            int(np.ceil((hi - lo) / (eps / 4.0))) + 1)
+        grid = _uniform_grid(lo, hi, eps / 4.0)
         plots = [PlotSeries("reconstruction", grid,
                             reconstruct(fin, cutoff, eps, grid))]
     if plots:
@@ -589,6 +584,11 @@ def cmd_simulate(cfg, out: str, workers: int) -> int:
 
     write_report(os.path.join(out, "report.txt"), report)
     return 0
+
+
+def _uniform_grid(lo: float, hi: float, spacing: float) -> np.ndarray:
+    """Nodes lo + k spacing from lo up to the first at or past hi."""
+    return lo + spacing * np.arange(math.ceil((hi - lo) / spacing) + 1)
 
 
 def cmd_converge(cfg, out: str, workers: int) -> int:
@@ -662,7 +662,7 @@ def _self_converge(cfg, out, model, cutoff, run, h_list, workers) -> int:
     box = active_box(model, t_final)
     lo = float(box.lo[0]) - pad
     hi = float(box.hi[0]) + pad
-    grid = lo + spacing * np.arange(int(math.ceil((hi - lo) / spacing)) + 1)
+    grid = _uniform_grid(lo, hi, spacing)
     members = _pool_map(_member, [(cfg, run, h, grid)
                                   for h in hs + [truth_h]], workers)
     *recons, truth = [recon for *_rest, recon in members]

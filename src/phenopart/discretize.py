@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -300,21 +301,13 @@ def _profile_bump(center=0.5, width=0.3, scale: float = 1.0) -> InitialDensity:
 
 def _profile_bump_pair(centers=((-0.5, 0.0), (0.5, 0.0)), width=0.35,
                        scale: float = 1.0) -> InitialDensity:
-    """Sum of two smooth bumps; the two-cluster initial condition."""
-    _positive("width", width)
-    _positive("scale", scale)
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    width = float(width)
-    support = Box(c.min(axis=0) - width, c.max(axis=0) + width)
+    """Sum of bumps of one width, one at each center; the two-cluster
+    initial condition."""
+    bumps = [_profile_bump(c, width, scale) for c in centers]
+    support = reduce(Box.union, [b.support for b in bumps])
 
     def evaluator(X):
-        vals = np.zeros(X.shape[0])
-        for center in c:
-            term = np.full(X.shape[0], float(scale))
-            for k in range(c.shape[1]):
-                term = term * _bump_1d((X[:, k] - center[k]) / width)
-            vals = vals + term
-        return vals
+        return sum((b.evaluator(X) for b in bumps), np.zeros(X.shape[0]))
 
     return InitialDensity(
         name="bump-pair", evaluator=evaluator, support=support)

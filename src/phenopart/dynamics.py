@@ -125,8 +125,11 @@ class RunConfig:
         # overflow to inf, and a huge a_sup makes the default dt 0
         steps = T / dt - 1e-9 if dt > 0 else math.inf
         if steps > MAX_STEPS:
+            step = (f"dt={dt:g}" if self.dt is not None else
+                    f"the default dt=min(1e-3, h/(2 a_sup))={dt:g} "
+                    f"(h={h:g}, a_sup={a_sup:g})")
             raise IntegrationError(
-                f"t_final={T:g} at dt={dt:g} takes {steps:.3g} steps, more "
+                f"t_final={T:g} at {step} takes {steps:.3g} steps, more "
                 f"than {MAX_STEPS}; shorten t_final or raise dt")
         n_steps = max(1, math.ceil(steps))
         return n_steps, T / n_steps

@@ -669,40 +669,28 @@ def build_nldrift1d(support_v0: Box, drift0: float = 1.0, r0: float = 1.0) -> Mo
     )
 
 
-def build_twotrait2d(support_v0: Box,
-                     a1: str = "x1 - x1**3 - 0.1*I1",
-                     a2: str = "-0.5*x2 - 0.1*I2",
-                     a_sup: float = 2.5) -> ModelSpec:
-    """Two-trait drift demo: config-supplied advection laws in (x1, x2).
+def build_twotrait2d(support_v0: Box) -> ModelSpec:
+    """Two-trait drift demo: a1 = x1 - x1^3 - 0.1 I1, a2 = -0.5 x2 - 0.1 I2.
 
-    The advection components are expression strings over t, x1, x2, I1, I2,
-    where I_j is the j-th moment of the measure (psi_a^(j)(t, x, y) = y_j).
-    The divergence d a1/d x1 + d a2/d x2 at fixed I is differentiated
-    exactly from the expressions.  The moment kernels are x-free, so the
-    chain-rule term vanishes and no dA/dI is declared.
+    I_j is the j-th moment of the measure (psi_a^(j)(t, x, y) = y_j).  The
+    divergence at fixed I is d a1/d x1 + d a2/d x2 = 1 - 3 x1^2 - 0.5.  The
+    moment kernels are x-free, so the chain-rule term vanishes and no dA/dI
+    is declared.  The speed bound a_sup = 2.5 is fixed.
     There is no selection or mutation; mass is conserved and the saturation
     hypothesis is unavailable (I_star = inf), so this preset is qualitative:
     use it for limit-cluster geometry, not for mass-bound studies.
     """
-    from .expressions import compile_expression, differentiate
-
-    f1 = compile_expression(a1, ("t", "x1", "x2", "I1", "I2"))
-    f2 = compile_expression(a2, ("t", "x1", "x2", "I1", "I2"))
-    df1 = differentiate(f1, "x1")
-    df2 = differentiate(f2, "x2")
 
     def advection(t, X, I):
-        env = (t, X[:, 0], X[:, 1], I[:, 0], I[:, 1])
-        # a column write broadcasts a law that folded to a constant
+        x1, x2 = X[:, 0], X[:, 1]
         A = np.empty(X.shape)
-        A[:, 0] = f1(*env)
-        A[:, 1] = f2(*env)
+        A[:, 0] = x1 - x1 * x1 * x1 - 0.1 * I[:, 0]
+        A[:, 1] = -0.5 * x2 - 0.1 * I[:, 1]
         return A
 
     def advection_div_x(t, X, I):
-        env = (t, X[:, 0], X[:, 1], I[:, 0], I[:, 1])
-        # out= broadcasts a derivative that folded to a constant
-        return np.add(df1(*env), df2(*env), out=np.empty(X.shape[0]))
+        x1 = X[:, 0]
+        return 1.0 - 3.0 * (x1 * x1) - 0.5
 
     def growth(t, X, I):
         return np.zeros(X.shape[0])
@@ -714,7 +702,7 @@ def build_twotrait2d(support_v0: Box,
         growth=growth,
         kernels_a=(moment_kernel(0), moment_kernel(1)),
         kernel_g=constant_kernel(1.0),
-        support_v0=support_v0, a_sup=a_sup,
+        support_v0=support_v0, a_sup=2.5,
     )
 
 

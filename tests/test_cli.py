@@ -1,6 +1,7 @@
 """Command-line driver: artifacts, determinism, overrides, exit codes."""
 
 import csv
+import inspect
 import math
 import os
 import tempfile
@@ -367,19 +368,6 @@ def _csv_column(path, name, t=None):
                 if t is None or row["t"] == t]
 
 
-def test_constant_twotrait_law_runs(tmp_path, monkeypatch):
-    """A config law that folds to a constant is passed as text, not as a
-    number, and a2 = 0 holds every x2 at its initial value."""
-    monkeypatch.setenv("PHENOPART_MODEL__A2", "0")
-    out = str(tmp_path / "pair")
-    cfg = os.path.join(CONFIG_DIR, "friedman_pair.cfg")
-    assert main(["simulate", "--config", cfg, "--out", out]) == 0
-    final = _csv_column(os.path.join(out, "final.csv"), "x1")
-    initial = _csv_column(os.path.join(out, "snapshots.csv"), "x1", t="0.0")
-    assert len(final) > 0
-    assert final == initial
-
-
 def _tree(out):
     """File name -> bytes of an artifact directory."""
     tree = {}
@@ -387,6 +375,18 @@ def _tree(out):
         with open(os.path.join(out, name), "rb") as fh:
             tree[name] = fh.read()
     return tree
+
+
+def test_every_builder_parameter_has_a_numeric_default():
+    """Each config key of [model] and [initial] parses as a number or as a
+    literal of numbers: no builder parameter after the skipped leading ones
+    takes text."""
+    for _key, table, skip in cli.BUILDERS.values():
+        for name, builder in table.items():
+            params = list(inspect.signature(builder).parameters.values())
+            for p in params[skip:]:
+                assert (isinstance(p.default, (int, float, tuple))
+                        and not isinstance(p.default, bool)), (name, p.name)
 
 
 def test_tuple_profile_parameter_takes_its_default(tmp_path, monkeypatch):
@@ -488,21 +488,26 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "x").exists()
         assert capsys.readouterr().err == (
-            "failed: IntegrationError: t_final=1e+06 at dt=0.001 takes "
+            "failed: IntegrationError: t_final=1e+06 at the default "
+            "dt=min(1e-3, h/(2 a_sup))=0.001 (h=0.005, a_sup=1) takes "
             "1e+09 steps, more than 50000000; shorten t_final or raise "
             "dt\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("key, value", [
-        ("MODEL__DRIFT0", "1e308"), ("TIME__DT", "1e-320"),
-        ("MODEL__DRIFT0", "1e300"), ("TIME__DT", "1e-300"),
+    @pytest.mark.parametrize("key, value, default_dt", [
+        ("MODEL__DRIFT0", "1e308", "0 (h=0.005, a_sup=1e+308) takes inf"),
+        ("TIME__DT", "1e-320", None),
+        ("MODEL__DRIFT0", "1e300",
+         "2.5e-303 (h=0.005, a_sup=1e+300) takes 4e+302"),
+        ("TIME__DT", "1e-300", None),
     ], ids=["drift0-dt-zero", "dt-subnormal", "drift0-huge", "dt-tiny"])
     def test_step_count_overflow(self, tmp_path, capsys, monkeypatch, key,
-                                 value):
+                                 value, default_dt):
         """A step count past the int range, or a default dt of 0 (h / 2
         a_sup underflows), is refused by the step cap before `--out` is
         created, with its count in a few digits, not with a
-        ZeroDivisionError, an OverflowError or a count of 300 digits."""
+        ZeroDivisionError, an OverflowError or a count of 300 digits.  A
+        default dt is named as such, with the h and a_sup that set it."""
         monkeypatch.setenv(f"PHENOPART_{key}", value)
         cfg = os.path.join(CONFIG_DIR, "nonlocal_toy.cfg")
         code = main(["simulate", "--config", cfg,
@@ -510,10 +515,17 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "x").exists()
         err = capsys.readouterr().err
-        assert err.startswith("failed: IntegrationError: t_final=1 at dt=")
-        assert err.endswith(" steps, more than 50000000; shorten t_final "
-                            "or raise dt\n")
-        assert len(err) < 160
+        if default_dt is not None:
+            assert err == (
+                "failed: IntegrationError: t_final=1 at the default "
+                f"dt=min(1e-3, h/(2 a_sup))={default_dt} steps, more than "
+                "50000000; shorten t_final or raise dt\n")
+        else:
+            assert err.startswith(
+                "failed: IntegrationError: t_final=1 at dt=")
+            assert err.endswith(" steps, more than 50000000; shorten "
+                                "t_final or raise dt\n")
+            assert len(err) < 160
 
     @pytest.mark.parametrize("text, word", [
         ("[time]\nt_finale = 0.01\n", "t_finale"),
@@ -528,11 +540,15 @@ class TestExitCodes:
         ("[oracle]\nmax_fixed_point_iter = 50.5\n", "max_fixed_point_iter"),
         ("[oracle]\nfixed_point_tol = -1\n", "fixed_point_tol"),
         ("[oracle]\nmin_dt = 0\n", "min_dt"),
+        ("[model]\nname = twotrait2d\na2 = -0.5*x2 - 0.1*I2\n",
+         "unknown key(s) in [model]: a2"),
+        ("[model]\nname = twotrait2d\na_sup = 2.5\n",
+         "unknown key(s) in [model]: a_sup"),
     ], ids=["key", "section", "model-param", "profile-param",
             "asymptote-window", "asymptote-pos_tol", "asymptote-mass_tol",
             "regularize-eps", "time-snapshot_every",
             "oracle-max_fixed_point_iter", "oracle-fixed_point_tol",
-            "oracle-min_dt"])
+            "oracle-min_dt", "twotrait-a2", "twotrait-a_sup"])
     def test_unknown_config_input(self, tmp_path, capsys, text, word):
         cfg = _write(tmp_path, text)
         code = main(["simulate", "--config", cfg,
@@ -592,8 +608,8 @@ class TestExitCodes:
          "[converge] h_list"),
         ("reproduce", "[regularize]\neps_q = 2\n", {}, "[regularize] eps_q"),
         ("simulate", "[model]\nname = twotrait2d\n"
-         "a1 = x1 - x1**3 + (-8)**(1/3)\n[initial]\nprofile = bump-pair\n",
-         {}, "bad [model] section"),
+         "a1 = x1 - x1**3 - 0.1*I1\n[initial]\nprofile = bump-pair\n",
+         {}, "unknown key(s) in [model]: a1"),
         # builder parameters with a numeric default, also where the
         # command builds no model
         ("reproduce", "", {"MODEL__R0": "abc", "REPRODUCE__N": "10",
@@ -629,7 +645,7 @@ class TestExitCodes:
             "unread-floor-negative", "unread-n_list-fraction",
             "unread-oracle-dx-negative", "unread-reproduce-n-zero",
             "unread-h_list-increasing", "unread-eps_q-above-one",
-            "complex-constant-law", "unread-model-param-not-a-number",
+            "twotrait-law-key", "unread-model-param-not-a-number",
             "profile-param-not-finite", "profile-width-zero",
             "profile-scale-zero", "profile-scale-negative",
             "profile-const-zero", "profile-tuple-ragged",

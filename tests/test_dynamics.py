@@ -55,8 +55,14 @@ def _moment_drift(h):
     ensemble, its mass M and moments I0, and the final state."""
     c, T = MOMENT_DRIFT_C, MOMENT_DRIFT_T
     prof = pp.build_profile("bump", center=(0.3, 0.2), width=0.5)
-    model = pp.build_model("twotrait2d", prof.support,
-                           a1=f"-x1 - {c}*I1", a2=f"-x2 - {c}*I2")
+    model = pp.ModelSpec(
+        name="moment-drift", dim=2,
+        advection=lambda t, X, I: -X - c * I,
+        advection_div_x=lambda t, X, I: np.full(X.shape[0], -2.0),
+        growth=lambda t, X, I: np.zeros(X.shape[0]),
+        kernels_a=(pp.moment_kernel(0), pp.moment_kernel(1)),
+        kernel_g=pp.constant_kernel(1.0),
+        support_v0=prof.support, a_sup=2.5)
     ens = pp.partition_support(prof, model, h, T=T)
     fin = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=1e-2)).final
     return prof, ens, ens.mass(), ens.alpha() @ ens.positions, fin
@@ -68,7 +74,7 @@ def test_twotrait_moment_drift_closed_form(h):
     I_k' = -(1 + cM) I_k, so each particle follows
     x(T) = e^-T (x0 - c I0 (1 - e^(-cMT)) / (cM)); div a = -2 gives
     w0 e^(-2T) and nu0 e^(2T).  A wrong moment kernel, moment input or
-    divergence of the compiled laws moves the particles off this path."""
+    divergence moves the particles off this path."""
     c, T = MOMENT_DRIFT_C, MOMENT_DRIFT_T
     _prof, ens, M, I0, fin = _moment_drift(h)
     expected = np.exp(-T) * (ens.positions

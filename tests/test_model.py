@@ -179,9 +179,9 @@ def test_rhs_sums_graded_kernel_once(random_ensemble):
 
 def test_moment_kernels_skip_the_chain_rule_term():
     """Moment kernels have no x-gradient, so the model declares no dA/dI and
-    one stage makes one velocity evaluation; the divergence is differentiated
-    from the laws, not from further velocity evaluations.  It still matches
-    central differences of the velocity."""
+    one stage makes one velocity evaluation; the divergence is written out
+    with the laws, not taken from further velocity evaluations.  It still
+    matches central differences of the velocity."""
     model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]))
     counts = {"advection": 0}
     model = dataclasses.replace(
@@ -218,27 +218,6 @@ def test_twotrait_divergence_is_exact():
         dn = model.advection(0.0, X - e, I)[:, axis]
         fd = fd + (up - dn) / (2 * step)
     np.testing.assert_allclose(div, fd, rtol=0, atol=1e-9)
-
-
-def test_twotrait_constant_law_fills_its_column():
-    """A law that folds to a constant gives one value per particle, and the
-    other column keeps the bits of its array law."""
-    box = pp.Box([-1.0, -1.0], [1.0, 1.0])
-    X = np.random.default_rng(2).uniform(-1.0, 1.0, size=(6, 2))
-    I = np.ones((6, 2))
-    const = pp.build_model("twotrait2d", box, a2="0").advection(0.0, X, I)
-    full = pp.build_model("twotrait2d", box).advection(0.0, X, I)
-    assert const.shape == (6, 2)
-    np.testing.assert_array_equal(const[:, 1], np.zeros(6))
-    assert const[:, 0].tobytes() == full[:, 0].tobytes()
-
-
-def test_twotrait_constant_divergence_has_one_value_per_particle():
-    model = pp.build_model("twotrait2d", pp.Box([-1.0, -1.0], [1.0, 1.0]),
-                           a1="0.5*x1 - I1", a2="-x2")
-    X = np.zeros((4, 2))
-    np.testing.assert_array_equal(model.advection_div_x(0.0, X, X),
-                                  np.full(4, -0.5))
 
 
 # ---------------------------------------------------------------------------
