@@ -608,7 +608,8 @@ class TestExitCodes:
          "[converge] h_list"),
         ("reproduce", "[regularize]\neps_q = 2\n", {}, "[regularize] eps_q"),
         ("simulate", "[model]\nname = twotrait2d\n"
-         "a1 = x1 - x1**3 - 0.1*I1\n[initial]\nprofile = bump-pair\n",
+         "a1 = x1 - x1**3 + (-8)**(1/3)\n"
+         "[initial]\nprofile = bump-pair\n",
          {}, "unknown key(s) in [model]: a1"),
         # builder parameters with a numeric default, also where the
         # command builds no model
@@ -645,7 +646,7 @@ class TestExitCodes:
             "unread-floor-negative", "unread-n_list-fraction",
             "unread-oracle-dx-negative", "unread-reproduce-n-zero",
             "unread-h_list-increasing", "unread-eps_q-above-one",
-            "twotrait-law-key", "unread-model-param-not-a-number",
+            "complex-constant-law", "unread-model-param-not-a-number",
             "profile-param-not-finite", "profile-width-zero",
             "profile-scale-zero", "profile-scale-negative",
             "profile-const-zero", "profile-tuple-ragged",
