@@ -16,6 +16,10 @@ The integrator carries the ensemble as one state array S of shape
 and row d + 1 the intensities, in C order so that every row is
 contiguous.  Each stage writes the derivative K in the same layout, so a
 stage input is S + c dt K and the RK4 update acts on the whole state.
+A stage hands the model its points as the view S[:d].T, not a copy: an
+(n, d) array that is F-ordered for d >= 2, each column a contiguous
+state row.  Sums over particles are taken in C order, so their bits do
+not depend on the layout of what an evaluator returns.
 
 The integrator owns every buffer of the step: the four stage
 derivatives, one array for the three stage inputs, the masses
@@ -192,19 +196,6 @@ def _unpack(S: np.ndarray, t: float, h: float) -> ParticleEnsemble:
                             h=h)
 
 
-def _points(S: np.ndarray) -> np.ndarray:
-    """Position rows of a packed array as (n, d) C-contiguous points."""
-    d = S.shape[0] - 2
-    if d == 1:
-        return S[:1].T  # (n, 1) view, already C-contiguous
-    # a strided view would slow every model copy, and filling the columns
-    # from the rows is faster than a transposing copy
-    x = np.empty((S.shape[1], d))
-    for k in range(d):
-        x[:, k] = S[k]
-    return x
-
-
 def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray, alpha: np.ndarray,
                K: np.ndarray, I_local: Optional[np.ndarray],
                mut_rows: np.ndarray) -> None:
@@ -212,7 +203,9 @@ def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray, alpha: np.ndarray,
     nu * w, filled by the caller; I_local is the (n, 0) advection input of
     a local model, None for a non-local one."""
     d = S.shape[0] - 2
-    x = _points(S)
+    # the (n, d) points as a view, F-ordered for d >= 2: column k is the
+    # contiguous row S[k]
+    x = S[:d].T
     w, nu = S[d], S[d + 1]
     I = I_local if I_local is not None else \
         advection_inputs(model, t, x, x, alpha)
@@ -229,7 +222,10 @@ def _stage_rhs(model: ModelSpec, t: float, S: np.ndarray, alpha: np.ndarray,
         if cols.size:
             I_d = nonlocal_field(model.kernel_d, t, x[mut_rows], x, alpha)
             M = np.asarray(model.mutation(t, x[mut_rows], x[cols], I_d))
-            Kn[mut_rows] += pair_sum(M * alpha[cols][None, :], axis=-1)
+            # summed in C order: pairwise along each row, whatever the
+            # layout the model returns
+            Kn[mut_rows] += pair_sum(
+                np.ascontiguousarray(M * alpha[cols][None, :]), axis=-1)
 
 
 def _non_finite(S: np.ndarray, t: float) -> None:

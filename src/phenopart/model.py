@@ -38,7 +38,12 @@ The advection inputs I = (I_a^k) are computed once by
 Reduction policy: every weighted sum over particles goes through numpy's
 pairwise summation over the fixed index order (``np.add.reduce``), never
 through BLAS.  This keeps results bit-reproducible across runs and across
-process counts regardless of threading configuration.
+process counts regardless of threading configuration.  The order in
+which numpy adds along an axis follows the array's memory layout
+(pairwise only along the contiguous axis), so a sum over the particle
+axis of an evaluator's values is taken on a C-ordered array
+(``np.ascontiguousarray``, a no-op for C-ordered values): its bits do not
+depend on the layout the evaluator returns.
 """
 
 from __future__ import annotations
@@ -219,7 +224,11 @@ def moment_kernel(axis: int, name: str | None = None) -> Kernel:
 class ModelSpec:
     """Coefficients, kernels, supports and structural constants of one model.
 
-    Evaluator contracts (all vectorized over rows of X):
+    Evaluator contracts (all vectorized over rows of X).  X and Y may be
+    F-ordered (n, d) views of the particle state; an evaluator must not
+    write into them, nor assume C order by raveling or reshaping them.
+    It may return values in any memory layout: the library takes every
+    particle-axis sum in C order.
 
     - advection(t, X(n,d), I(n,n_a)) -> (n, d); n_a = len(kernels_a), and
       no advection kernels (the default) declares the advection local
@@ -308,24 +317,31 @@ class ModelSpec:
 # field evaluation against particle data
 
 
+def _shared_value(kernel: Kernel, t: float, X: np.ndarray, Y: np.ndarray,
+                  alpha: np.ndarray):
+    """The one value sum_j alpha_j psi(t, x, y_j) that every row of X shares
+    under a kernel that does not depend on x (constant or x-free)."""
+    if kernel.const is not None:
+        return kernel.const * pair_sum(alpha)
+    return pair_sum(np.asarray(kernel.func(t, X[:1], Y))[0] * alpha)
+
+
 def nonlocal_field(kernel: Kernel, t: float, X: np.ndarray, Y: np.ndarray,
                    alpha: np.ndarray) -> np.ndarray:
     """I(t, x_row) = sum_j alpha_j psi(t, x_row, y_j) for each row of X."""
     n = X.shape[0]
-    if kernel.const is not None:
-        value = kernel.const * pair_sum(alpha)
-    elif kernel.x_free:
-        value = pair_sum(np.asarray(kernel.func(t, X[:1], Y))[0] * alpha)
-    else:
+    if kernel.graded:
         vals = np.asarray(kernel.func(t, X, Y))
         if vals.shape != (n, Y.shape[0]):
             raise EvaluationError(
                 f"kernel {kernel.name}: expected shape {(n, Y.shape[0])}, "
                 f"got {vals.shape}")
-        return pair_sum(vals * alpha[None, :], axis=-1)
+        # summed in C order: pairwise along each row, whatever the layout
+        # the kernel returns
+        return pair_sum(np.ascontiguousarray(vals * alpha[None, :]), axis=-1)
     # every row shares the value; fill() is cheaper than np.full
     I = np.empty(n)
-    I.fill(value)
+    I.fill(_shared_value(kernel, t, X, Y, alpha))
     return I
 
 
@@ -340,7 +356,7 @@ def nonlocal_grad_field(kernel: Kernel, t: float, X: np.ndarray, Y: np.ndarray,
         raise EvaluationError(
             f"kernel {kernel.name} gradient: expected {(n, Y.shape[0], d)}, "
             f"got {grads.shape}")
-    return pair_sum(grads * alpha[None, :, None], axis=1)
+    return pair_sum(np.ascontiguousarray(grads * alpha[None, :, None]), axis=1)
 
 
 def advection_inputs(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
@@ -349,7 +365,10 @@ def advection_inputs(model: ModelSpec, t: float, X: np.ndarray, Y: np.ndarray,
     (n, n_a); (n, 0) for a local model."""
     I = np.empty((X.shape[0], model.n_a))
     for k, kernel in enumerate(model.kernels_a):
-        I[:, k] = nonlocal_field(kernel, t, X, Y, alpha)
+        if kernel.graded:
+            I[:, k] = nonlocal_field(kernel, t, X, Y, alpha)
+        else:
+            I[:, k] = _shared_value(kernel, t, X, Y, alpha)
     return I
 
 
@@ -681,16 +700,27 @@ def build_twotrait2d(support_v0: Box) -> ModelSpec:
     use it for limit-cluster geometry, not for mass-bound studies.
     """
 
+    # each component is computed in place in a contiguous row, rounding as
+    # its plain expression would; advection returns the (n, 2) transpose
     def advection(t, X, I):
         x1, x2 = X[:, 0], X[:, 1]
-        A = np.empty(X.shape)
-        A[:, 0] = x1 - x1 * x1 * x1 - 0.1 * I[:, 0]
-        A[:, 1] = -0.5 * x2 - 0.1 * I[:, 1]
-        return A
+        A = np.empty((2, X.shape[0]))
+        a1, a2 = A
+        np.multiply(x1, x1, out=a1)
+        a1 *= x1
+        np.subtract(x1, a1, out=a1)
+        a1 -= 0.1 * I[:, 0]
+        np.multiply(-0.5, x2, out=a2)
+        a2 -= 0.1 * I[:, 1]
+        return A.T
 
     def advection_div_x(t, X, I):
         x1 = X[:, 0]
-        return 1.0 - 3.0 * (x1 * x1) - 0.5
+        div = x1 * x1
+        div *= 3.0
+        np.subtract(1.0, div, out=div)
+        div -= 0.5
+        return div
 
     def growth(t, X, I):
         return np.zeros(X.shape[0])

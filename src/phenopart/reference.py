@@ -68,6 +68,10 @@ MAX_FIXED_POINT_ITER = 50    # iterations before a step is halved
 MIN_DT = 1e-6                # a halved step below this aborts the solve
 
 _ROW_CHUNK = 2048            # query rows per dense grid-integral block
+# the largest grid and step count of a solve: a grid array of MAX_NODES
+# takes 80 MB, and the mass history of MAX_STEPS steps 400 MB
+MAX_NODES = 10_000_000
+MAX_STEPS = 50_000_000
 
 
 class OracleError(RuntimeError):
@@ -96,9 +100,28 @@ class ReferenceConfig:
             raise ValueError("x_hi must exceed x_lo")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
+        # counted in float: a tiny dx makes the count overflow to inf
         n = (self.x_hi - self.x_lo) / self.dx
+        if n + 1 > MAX_NODES:
+            raise ValueError(
+                f"dx={self.dx:g} puts {n + 1:.3g} nodes on "
+                f"[{self.x_lo:g}, {self.x_hi:g}], more than {MAX_NODES}; "
+                "raise dx")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError("dx must divide the grid extent")
+
+    def steps(self, T: float) -> tuple:
+        """(n_steps, dt) of a solve to time T: the step is adjusted to
+        divide T.  More than MAX_STEPS steps raise OracleError."""
+        if T == 0.0:
+            return 0, self.dt
+        steps = T / self.dt
+        if steps > MAX_STEPS:
+            raise OracleError(
+                f"T={T:g} at dt={self.dt:g} takes {steps:.3g} oracle steps, "
+                f"more than {MAX_STEPS}; shorten T or raise dt")
+        n_steps = max(1, int(round(steps)))
+        return n_steps, T / n_steps
 
 
 @dataclass
@@ -269,7 +292,10 @@ def _row_sums(rows, n: int, wv: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     for s in range(0, n, _ROW_CHUNK):
         block = np.asarray(rows(s, s + _ROW_CHUNK))
-        out[s:s + _ROW_CHUNK] = pair_sum(block * wv[None, :], axis=-1)
+        # summed in C order: pairwise along each row, whatever the layout
+        # the kernel returns
+        out[s:s + _ROW_CHUNK] = pair_sum(
+            np.ascontiguousarray(block * wv[None, :]), axis=-1)
     return out
 
 
@@ -429,6 +455,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
                     T: float) -> ReferenceSolution:
     """March the grid density from 0 to T; see the module docstring."""
     check_scope(model)
+    n_steps, dt = cfg.steps(T)
     G = int(round((cfg.x_hi - cfg.x_lo) / cfg.dx))
     x = cfg.x_lo + cfg.dx * np.arange(G + 1)
     v = v0(x[:, None])
@@ -436,8 +463,6 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     sv = _Solve(model, x, cfg.dx, float(np.min(v)))
     state = _State(v, _support_weights(v, cfg.dx) * v, edges)
     del v  # only `state` holds the initial level: the first step frees it
-    n_steps = 0 if T == 0.0 else max(1, int(round(T / cfg.dt)))
-    dt = T / n_steps if n_steps else cfg.dt
     rho_v = np.zeros(n_steps + 1)
     rho_v[0] = float(pair_sum(state.wv))
     for n in range(n_steps):

@@ -527,6 +527,35 @@ class TestExitCodes:
                                 "t_final or raise dt\n")
             assert len(err) < 160
 
+    @pytest.mark.parametrize("command, config, env, code, err", [
+        ("simulate", "friedman_pair.cfg", {"ORACLE__DX": "1e-320"}, 2,
+         "error: [oracle] dx=9.99989e-321 puts inf nodes on [-0.25, 1.25], "
+         "more than 10000000; raise dx\n"),
+        ("simulate", "friedman_pair.cfg", {"ORACLE__DX": "1e-9"}, 2,
+         "error: [oracle] dx=1e-09 puts 1.5e+09 nodes on [-0.25, 1.25], "
+         "more than 10000000; raise dx\n"),
+        ("simulate", "advsel_convergence.cfg",
+         {"ORACLE__ENABLED": "true", "ORACLE__DT": "1e-300"}, 1,
+         "failed: OracleError: T=1 at dt=1e-300 takes 1e+300 oracle steps, "
+         "more than 50000000; shorten T or raise dt\n"),
+    ], ids=["dx-subnormal", "dx-tiny", "dt-tiny"])
+    def test_oracle_caps(self, tmp_path, capsys, monkeypatch, command,
+                         config, env, code, err):
+        """A grid or a step count the oracle cannot hold is refused before
+        the particle run and before `--out` is created: a node count
+        compared in float (an overflow to inf is no OverflowError), also
+        where the command runs no oracle, and a step count before any
+        allocation."""
+        for key, value in env.items():
+            monkeypatch.setenv(f"PHENOPART_{key}", value)
+        monkeypatch.setattr(cli, "integrate", None)
+        start = time.perf_counter()
+        assert main([command, "--config", os.path.join(CONFIG_DIR, config),
+                     "--out", str(tmp_path / "x")]) == code
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("text, word", [
         ("[time]\nt_finale = 0.01\n", "t_finale"),
         ("[tyme]\nt_final = 0.01\n", "tyme"),

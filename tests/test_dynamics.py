@@ -1,5 +1,6 @@
 """Particle integrator: closed forms, cross-checks, monitors, determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -250,7 +251,12 @@ def test_negative_intensity_aborts():
 
 
 @pytest.mark.parametrize("quantity, particle", [
-    ("position", 3), ("volume", 2), ("intensity", 2)])
+    ("position", 3),
+    # the RK4 combination adds infinities of both signs: the NaN this
+    # case is after
+    pytest.param("volume", 2, marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning")),
+    ("intensity", 2)])
 def test_non_finite_state_names_quantity_and_particle(quantity, particle):
     """One field of the named quantity turns infinite partway through: the
     advection on particle 3 only, the divergence (volumes and intensities
@@ -417,10 +423,11 @@ def test_monitors_hold_on_random_clouds(advsel_model, seed, n):
 
 
 def _reference_stage(model, t, S, mut_rows):
-    """The stage right-hand side with fresh arrays: alpha = nu * w, K,
-    div * w, (R - div) * nu and the mutation sum."""
+    """The stage right-hand side with fresh arrays: C-contiguous points
+    copied from the state, alpha = nu * w, K, div * w, (R - div) * nu and
+    the mutation sum, taken in C order."""
     d = S.shape[0] - 2
-    x = dynamics._points(S)
+    x = np.ascontiguousarray(S[:d].T)
     w, nu = S[d], S[d + 1]
     alpha = nu * w
     I = advection_inputs(model, t, x, x, alpha)
@@ -436,8 +443,8 @@ def _reference_stage(model, t, S, mut_rows):
         if cols.size:
             I_d = nonlocal_field(model.kernel_d, t, x[mut_rows], x, alpha)
             M = np.asarray(model.mutation(t, x[mut_rows], x[cols], I_d))
-            K[d + 1, mut_rows] += pp.pair_sum(M * alpha[cols][None, :],
-                                              axis=-1)
+            K[d + 1, mut_rows] += pp.pair_sum(
+                np.ascontiguousarray(M * alpha[cols][None, :]), axis=-1)
     return K
 
 
@@ -455,7 +462,7 @@ def _reference_steps(model, ens0, dt, n_steps, snap_every):
     for step in range(n_steps):
         t = t0 + step * dt
         k1 = _reference_stage(model, t, S, mut_rows)
-        v = dynamics._points(k1)
+        v = np.ascontiguousarray(k1[:d].T)
         speed_max = float(np.max(np.sqrt(pp.pair_sum(v * v, axis=-1))))
         k2 = _reference_stage(model, t + 0.5 * dt, S + 0.5 * dt * k1,
                               mut_rows)
@@ -465,7 +472,7 @@ def _reference_steps(model, ens0, dt, n_steps, snap_every):
         S = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.isfinite(S).all()
         t_next = t0 + (step + 1) * dt
-        x, w, nu = dynamics._points(S), S[d], S[d + 1]
+        x, w, nu = np.ascontiguousarray(S[:d].T), S[d], S[d + 1]
         disp = np.sqrt(pp.pair_sum((x - x0) ** 2, axis=-1))
         support_excess = max(support_excess, float(np.max(disp))
                              - model.a_sup * (t_next - t0))
@@ -520,7 +527,39 @@ def _mutation_toy(support):
         M_bar=0.5)
 
 
+def _gauss2d(t, X, Y):
+    """exp(-|x - y|^2 / 0.1) for points in R^2."""
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.exp(-np.sum(diff * diff, axis=-1) / 0.1)
+
+
+def _model_2d(name, support):
+    """Selection R = 0.5 - I_g in 2D: with twotrait2d's non-local drift
+    and a graded Gaussian growth kernel ("graded2d"), or with the
+    contraction a = -x, a constant growth kernel and a Gaussian mutation
+    kernel returned in F order ("mutation2d"), whose x-support keeps the
+    mutation rows to part of the lattice."""
+    R = dict(growth=lambda t, X, I: 0.5 - I)
+    if name == "graded2d":
+        return dataclasses.replace(
+            pp.build_model("twotrait2d", support), name=name,
+            kernel_g=pp.Kernel("gauss2d", _gauss2d), **R)
+    m_x = pp.Box([-0.85, -0.35], [-0.15, 0.35])
+
+    def mutation(t, X, Y, I):
+        gauss = np.where(m_x.contains(X)[:, None], _gauss2d(t, X, Y), 0.0)
+        return np.asfortranarray(0.5 * gauss / (1.0 + I[:, None]))
+
+    return dataclasses.replace(
+        pp.build_model("linadv1d", support), name=name, mutation=mutation,
+        kernel_d=pp.constant_kernel(1.0), support_m_x=m_x,
+        support_m_y=pp.Box([-1.0, -1.0], [1.0, 0.0]), M_bar=0.5, **R)
+
+
 def _case(name):
+    if name in ("graded2d", "mutation2d"):
+        prof = pp.build_profile("bump-pair")
+        return prof, _model_2d(name, prof.support), 1 / 10
     if name == "twotrait2d":
         prof = pp.build_profile("bump-pair")
         return prof, pp.build_model("twotrait2d", prof.support), 1 / 10
@@ -539,7 +578,8 @@ def _case(name):
 
 
 @pytest.mark.parametrize("name", ["advsel1d", "twotrait2d", "nldrift1d",
-                                  "mutation", "linadv3d"])
+                                  "mutation", "linadv3d", "graded2d",
+                                  "mutation2d"])
 def test_step_loop_matches_reference_bitwise(name):
     prof, model, h = _case(name)
     # 130 steps: a snapshot every 3 steps, and the last off that cadence
@@ -549,8 +589,9 @@ def test_step_loop_matches_reference_bitwise(name):
     traj = pp.integrate(model, ens, pp.RunConfig(t_final=T, dt=dt),
                         snapshot=snaps.append)
     assert traj.n_steps == 130
-    if name == "mutation":
+    if name in ("mutation", "mutation2d"):
         assert 0 < dynamics._mutation_rows(model, ens, T).size < ens.n
+    if name == "mutation":
         # exact zeros all the way, so the minima meet them at every step
         assert (traj.final.intensities == 0.0).any()
         assert (traj.series["nu_min"] == 0.0).all()
@@ -569,3 +610,27 @@ def test_step_loop_matches_reference_bitwise(name):
                      (got.intensities, want.intensities)):
             assert a.tobytes() == b.tobytes()
     assert traj.monitors.support_excess_max == support_excess
+
+
+@pytest.mark.parametrize("name", ["advsel1d", "twotrait2d", "linadv3d"])
+def test_stage_hands_the_model_views_of_the_state(name):
+    """The points a stage hands the advection are the position rows of
+    the stage input itself, not a copy: an (n, d) view whose columns are
+    contiguous."""
+    prof, model, h = _case(name)
+    seen = []
+
+    def advection(t, X, I, base=model.advection):
+        seen.append(X)
+        return base(t, X, I)
+
+    model = dataclasses.replace(model, advection=advection)
+    S = dynamics._pack(pp.partition_support(prof, model, h, T=0.1))
+    d, n = S.shape[0] - 2, S.shape[1]
+    I_local = np.zeros((n, 0)) if model.is_local else None
+    dynamics._stage_rhs(model, 0.0, S, S[d] * S[d + 1], np.empty_like(S),
+                        I_local, np.empty(0, dtype=np.int64))
+    (X,) = seen
+    assert X.shape == (n, d)
+    assert np.shares_memory(X, S)
+    assert all(X[:, k].flags.c_contiguous for k in range(d))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import phenopart as pp
-from phenopart.model import advection_inputs, nonlocal_field
+from phenopart.model import (advection_inputs, nonlocal_field,
+                             nonlocal_grad_field)
 
 from conftest import make_ensemble, velocity_and_divergence
 
@@ -48,6 +49,28 @@ def test_moment_inputs_sum_the_kernel_rows():
         assert kernel.func(0.0, X[:1], X).tolist() == vals[:1].tolist()
         want = pp.pair_sum(vals * alpha[None, :], axis=-1)
         assert I[:, k].tobytes() == want.tobytes()
+
+
+def test_particle_sums_do_not_depend_on_kernel_layout():
+    """A graded kernel whose values and x-gradients come back in F order
+    gives the field and its gradient bit for bit as in C order: both sums
+    over particles are taken on C-ordered values."""
+    def gauss(t, X, Y):
+        diff = X[:, None, :] - Y[None, :, :]
+        return np.exp(-np.sum(diff * diff, axis=-1) / 0.1)
+
+    def grad(t, X, Y):
+        return (-20.0 * (X[:, None, :] - Y[None, :, :])
+                * gauss(t, X, Y)[:, :, None])
+
+    c = pp.Kernel("gauss", gauss, grad_x=grad)
+    f = pp.Kernel("gauss-F", lambda *a: np.asfortranarray(gauss(*a)),
+                  grad_x=lambda *a: np.asfortranarray(grad(*a)))
+    ens = make_ensemble(300, seed=5, dim=2)
+    X, alpha = ens.positions, ens.alpha()
+    for field in (nonlocal_field, nonlocal_grad_field):
+        assert field(f, 0.0, X, X, alpha).tobytes() == \
+            field(c, 0.0, X, X, alpha).tobytes()
 
 
 def test_function_kernel_matches_loop(random_ensemble):

@@ -335,10 +335,13 @@ def test_refinement_history():
     assert sol.dx == hist[-1][0]
 
 
-@pytest.mark.parametrize("x_free", [True, False])
-def test_grid_nonlocal_matches_dense_sum(x_free):
+@pytest.mark.parametrize("x_free, order", [
+    (True, "C"), (False, "C"), (False, "F")], ids=["True", "False", "F"])
+def test_grid_nonlocal_matches_dense_sum(x_free, order):
     """An x-free kernel's one row and a graded kernel's row blocks give the
-    dense support-weighted sum, on more query points than one block."""
+    dense support-weighted sum, on more query points than one block, also
+    when the kernel returns its values in F order: the rows are summed in
+    C order."""
     grid = np.linspace(-0.25, 1.25, 301)
     v = np.where((grid >= 0.0) & (grid <= 1.0), 1.0 - grid, 0.0)
     wv = _support_weights(v, grid[1] - grid[0]) * v
@@ -347,11 +350,11 @@ def test_grid_nonlocal_matches_dense_sum(x_free):
         kernel = pp.Kernel("y2", lambda t, X, Y: np.broadcast_to(
             t + Y[None, :, 0] ** 2, (X.shape[0], Y.shape[0])), x_free=True)
     else:
-        kernel = pp.Kernel("gauss", lambda t, X, Y: np.exp(
-            -t * (X[:, :1] - Y[None, :, 0]) ** 2))
+        kernel = pp.Kernel("gauss", lambda t, X, Y: np.asarray(np.exp(
+            -t * (X[:, :1] - Y[None, :, 0]) ** 2), order=order))
     got = reference._grid_nonlocal(kernel, 0.5, xq, grid, wv)
-    dense = pp.pair_sum(kernel.func(0.5, xq[:, None], grid[:, None])
-                        * wv[None, :], axis=-1)
+    dense = pp.pair_sum(np.ascontiguousarray(
+        kernel.func(0.5, xq[:, None], grid[:, None])) * wv[None, :], axis=-1)
     assert got.shape == (xq.size,)
     np.testing.assert_array_equal(got, dense)
     # the x-free branch shares one value; the graded one varies with x
