@@ -21,15 +21,21 @@ iteration on the new time level.  Its pieces:
   E = dt/2 [G(t_n, Y) + G(t_{n+1}, x)], the t_n part frozen
 - `_source`: the mutation influx int m(., ., z, I_d) v(z) dz, by the
   trapezoid rule in time
-- `_clip`: zero outside the tracked support, which stops interpolation
-  bleed across the support-edge jump cell
 - `_fixed_point` stops when the L1 update drops below FIXED_POINT_RTOL
   (1 + mass); `_advance` halves a sub-interval that does not contract
   within MAX_FIXED_POINT_ITER iterations, down to MIN_DT
 
+The new level is 0 outside the node range [lo, hi) of the tracked
+support, which stops interpolation bleed across the support-edge jump
+cell.  So the transport at the feet, the exponent, the source and each
+iterate are computed on [lo, hi) only; the update, the masses and the
+grid integrals still sum over the whole grid.
+
 Every grid density travels with its support-weighted values
 wv = _support_weights(v, dx) * v, computed once, from which the masses and
 all grid integrals are read; a `_State` holds both and the support edges.
+The weights depend on v's zero pattern alone, so the solve keeps the last
+ones it built and rebuilds them only for a density whose pattern differs.
 
 What outlives a step is held by one `_Solve`: the model, the nodes and
 their PCHIP spacing terms, what the solve reports besides the density,
@@ -187,10 +193,19 @@ def _cells(x: np.ndarray, points) -> tuple:
 
 def _at(coef, cells, fill):
     """The cubics of the coefficient rows at the cells of `_cells`; points
-    outside the nodes read `fill`."""
+    outside the nodes read `fill`.  Each is ((c3 + c2 s) + c1 s^2) + c0 s^3,
+    computed in the rows of the gathered coefficients: a row of that copy
+    is returned."""
     k, s, ss, sss, outside = cells
     c0, c1, c2, c3 = np.take(coef, k, axis=1, mode="clip")
-    return np.where(outside, fill, ((c3 + c2 * s) + c1 * ss) + c0 * sss)
+    c2 *= s
+    c2 += c3
+    c1 *= ss
+    c2 += c1
+    c0 *= sss
+    c2 += c0
+    np.copyto(c2, fill, where=outside)
+    return c2
 
 
 class PchipInterpolator:
@@ -335,16 +350,27 @@ class _Flow:
 class _Solve:
     """What outlives a step of one solve: the model, the nodes x with
     spacing dx and their PCHIP terms, the cached flow (autonomous
-    advection only), and what the solve reports besides the density."""
+    advection only), the last support weights and the zero pattern they
+    were built for, and what the solve reports besides the density."""
 
     def __init__(self, model: ModelSpec, x: np.ndarray, dx: float,
                  min_seen: float):
         self.model, self.x, self.dx = model, x, dx
         self.nodes = _Nodes(x)
         self.flow = None
+        self.nonzero = self.weights = None
         self.min_seen = min_seen
         self.iters_max = 0
         self.subdivisions = 0
+
+    def weigh(self, v: np.ndarray) -> np.ndarray:
+        """wv = _support_weights(v, dx) * v, with the weights rebuilt only
+        when v's zero pattern differs from that of the last ones."""
+        nonzero = v != 0.0
+        if self.nonzero is None or not np.array_equal(nonzero, self.nonzero):
+            self.nonzero = nonzero
+            self.weights = _support_weights(v, self.dx)
+        return self.weights * v
 
 
 def _flow(sv, t, Dt, n_sub):
@@ -398,34 +424,37 @@ def _source(sv, t, pts, wv):
         pts.shape[0], wv)
 
 
-def _clip(v, span):
-    """Zero v outside the support's node range [lo, hi), in place."""
-    v[:span[0]] = 0.0
-    v[span[1]:] = 0.0
-
-
 def _fixed_point(sv, old, t, Dt):
-    """The state at t + Dt, or None if the iteration does not contract."""
+    """The state at t + Dt, or None if the iteration does not contract.
+
+    Its nodes outside the support's node range [lo, hi) are 0, and only
+    those inside are computed."""
     n_sub = _substeps(Dt)
     flow = _flow(sv, t, Dt, n_sub)
-    edges, span = _edges(sv, old.edges, t, Dt, n_sub)
-    base = _transport(sv, old.v, flow.cells)
-    G0 = _exponent(sv, t, flow.feet, flow.div_feet, old.wv)
-    S0 = None if sv.model.mutation is None else _source(sv, t, flow.feet,
-                                                        old.wv)
+    edges, (lo, hi) = _edges(sv, old.edges, t, Dt, n_sub)
+    feet, nodes = flow.feet[lo:hi], sv.x[lo:hi]
+    base = _transport(sv, old.v, tuple(c[lo:hi] for c in flow.cells))
+    G0 = _exponent(sv, t, feet, flow.div_feet[lo:hi], old.wv)
+    S0 = None if sv.model.mutation is None else _source(sv, t, feet, old.wv)
     tol = FIXED_POINT_RTOL * (1.0 + float(pair_sum(old.wv)))
     u, wu = old.v, old.wv
+    # the iterates' temporaries are computed in place: each one freed is
+    # heap that the allocator may trim and fault back in on the next step
+    diff = np.empty(sv.x.size)
     for it in range(MAX_FIXED_POINT_ITER):
-        G1 = _exponent(sv, t + Dt, sv.x, flow.div_nodes, wu)
-        wfac = np.exp((G1 + G0) * (0.5 * Dt))
-        v_new = wfac * base
+        G1 = _exponent(sv, t + Dt, nodes, flow.div_nodes[lo:hi], wu)
+        G1 += G0
+        G1 *= 0.5 * Dt
+        wfac = np.exp(G1, out=G1)
+        v_new = np.zeros(sv.x.size)
+        span = np.multiply(wfac, base, out=v_new[lo:hi])
         if S0 is not None:
-            S1 = _source(sv, t + Dt, sv.x, wu)
-            v_new += 0.5 * Dt * (wfac * S0 + S1)
-        _clip(v_new, span)
-        delta = float(pair_sum(np.abs(v_new - u))) * sv.dx
+            S1 = _source(sv, t + Dt, nodes, wu)
+            span += 0.5 * Dt * (wfac * S0 + S1)
+        np.subtract(v_new, u, out=diff)
+        delta = float(pair_sum(np.abs(diff, out=diff))) * sv.dx
         u = v_new
-        wu = _support_weights(v_new, sv.dx) * v_new
+        wu = sv.weigh(v_new)
         if delta < tol:
             sv.iters_max = max(sv.iters_max, it + 1)
             mn = float(np.min(u))
@@ -461,7 +490,7 @@ def solve_reference(model: ModelSpec, v0: InitialDensity, cfg: ReferenceConfig,
     v = v0(x[:, None])
     edges = np.array([float(v0.support.lo[0]), float(v0.support.hi[0])])
     sv = _Solve(model, x, cfg.dx, float(np.min(v)))
-    state = _State(v, _support_weights(v, cfg.dx) * v, edges)
+    state = _State(v, sv.weigh(v), edges)
     del v  # only `state` holds the initial level: the first step frees it
     rho_v = np.zeros(n_steps + 1)
     rho_v[0] = float(pair_sum(state.wv))

@@ -24,7 +24,10 @@ float array (its support masks take one byte per entry); given no `out`, it
 allocates the result and leaves `u` alone.  So `_kernel_sum` owns its tile
 buffers, at most three of `_GRID_CHUNK x _PARTICLE_CHUNK` floats (the
 offsets, the weights and, for d >= 2, one more axis factor), allocated once
-per call and reused for every grid tile and particle block.
+per call and reused for every grid tile and particle block.  Of a block, it
+evaluates only the window of particle columns that can reach the tile, and
+skips a block that has none: the profile is exactly 0 beyond the support,
+so the sum keeps every bit of the dense sum over all pairs.
 """
 
 from __future__ import annotations
@@ -171,18 +174,23 @@ def _kernel_sum(grid: np.ndarray, positions: np.ndarray, coef: np.ndarray,
     """sum_i coef_i eps^{-d} phi((g - x_i)/eps) over grid rows g.
 
     Particles are summed in fixed blocks of `_PARTICLE_CHUNK`, in their given
-    order.  A block is skipped for a grid tile when, on some axis, the
-    bounding boxes of the two are apart: (g_lo - x_hi)/eps > radius or
-    (x_lo - g_hi)/eps > radius.  Subtraction and division round
-    monotonically, so every pair of such a block has |u| > radius in floating
-    point too, the profile is exactly 0 there, and the block would add only
-    signed zeros to a row, which leaves it unchanged.  The result is
-    therefore bit-identical to the dense sum over every pair.
+    order.  A particle is far from a grid tile when, on some axis,
+    (g_lo - x)/eps > radius or (x - g_hi)/eps > radius.  Subtraction and
+    division round monotonically, so every row of the tile has |u| > radius
+    with it in floating point too, the profile is exactly 0 there, and the
+    pair adds only a signed zero to a row, which leaves it unchanged.  So a
+    block is skipped when its bounding box is far, or when each of its
+    particles is; otherwise only the window [c0, c1) from its first to its
+    last particle in reach is evaluated, and written into a row of zeros as
+    wide as the block.  Each row then sums the same entries in the same
+    order as the dense sum over every pair, and the result is bit-identical
+    to it.
 
     The offsets U, the weights W and, for d >= 2, the factor F of each
-    further axis live in tile buffers allocated once per call.  A partial
-    tile or block uses a leading slice of each, contiguous like a fresh
-    array, so its reduction runs as it would on one.
+    further axis live in tile buffers allocated once per call; the row of
+    zeros reuses U's.  A partial tile, block or window uses a leading slice
+    of each, contiguous like a fresh array, so its ufuncs and its reduction
+    run as they would on one.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -192,8 +200,13 @@ def _kernel_sum(grid: np.ndarray, positions: np.ndarray, coef: np.ndarray,
         raise ValueError("kernel sum needs finite particle positions and "
                          "coefficients")
     G, d = grid.shape
+    try:
+        scale = float(eps) ** (-d)
+    except OverflowError:
+        raise ValueError(f"eps={eps!r} is too small: eps^-{d} overflows "
+                         "a float") from None
     out = np.zeros(G)
-    scale = eps ** (-d)
+    radius = phi.radius
     starts = np.arange(0, positions.shape[0], _PARTICLE_CHUNK)
     p_lo = np.minimum.reduceat(positions, starts, axis=0)
     p_hi = np.maximum.reduceat(positions, starts, axis=0)
@@ -202,22 +215,33 @@ def _kernel_sum(grid: np.ndarray, positions: np.ndarray, coef: np.ndarray,
                         * min(positions.shape[0], _PARTICLE_CHUNK)))
     for gs in range(0, G, _GRID_CHUNK):
         gb = grid[gs:gs + _GRID_CHUNK]
-        far = (((gb.min(axis=0) - p_hi) / eps > phi.radius)
-               | ((p_lo - gb.max(axis=0)) / eps > phi.radius)).any(axis=1)
+        g_lo, g_hi = gb.min(axis=0), gb.max(axis=0)
+        far = (((g_lo - p_hi) / eps > radius)
+               | ((p_lo - g_hi) / eps > radius)).any(axis=1)
         acc = np.zeros(gb.shape[0])
         for ps in starts[~far]:
             pb = positions[ps:ps + _PARTICLE_CHUNK]
-            cb = coef[ps:ps + _PARTICLE_CHUNK]
+            near = np.flatnonzero(~(((g_lo - pb) / eps > radius)
+                                    | ((pb - g_hi) / eps > radius)).any(axis=1))
+            if near.size == 0:
+                continue
+            c0, c1 = near[0], near[-1] + 1
             rows, cols = gb.shape[0], pb.shape[0]
-            U, W, F = buffers[:, :rows * cols].reshape(3, rows, cols)
+            U, W, F = buffers[:, :rows * (c1 - c0)].reshape(3, rows, c1 - c0)
             for k in range(d):
-                np.subtract(gb[:, k, None], pb[:, k], out=U)
+                np.subtract(gb[:, k, None], pb[c0:c1, k], out=U)
                 np.divide(U, eps, out=U)
                 if k == 0:
                     phi.profile(U, out=W)
                 else:
                     W *= phi.profile(U, out=F)
-            W *= cb
+            W *= coef[ps + c0:ps + c1]
+            if c1 - c0 < cols:
+                row = buffers[0, :rows * cols].reshape(rows, cols)
+                row[:, :c0] = 0.0
+                row[:, c0:c1] = W
+                row[:, c1:] = 0.0
+                W = row
             acc += pair_sum(W, axis=-1)
         out[gs:gs + _GRID_CHUNK] = acc * scale
     return out

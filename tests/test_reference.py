@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import phenopart as pp
 from phenopart import reference
 from phenopart.discretize import _bump_1d
+from phenopart.model import pair_sum
 from phenopart.reference import (PchipInterpolator, _at, _cells, _Nodes,
                                  _rk4_flow, _substeps, _support_weights,
                                  check_scope)
@@ -297,6 +298,140 @@ def test_autonomous_nodes_flow_once(advsel_profile, advsel_model):
     sol, calls = _solve_counted(advsel_model, advsel_profile, cfg, 0.1)
     assert len(sol.rho_times) == 201
     assert calls == 4 * 200 + 4
+
+
+def _full_grid_fixed_point(sv, old, t, Dt):
+    """The oracle step computed on every node: transport, exponent, source
+    and iterate over the whole grid, then zeroed outside the support's node
+    range [lo, hi), with the support weights built afresh for each
+    iterate."""
+    n_sub = reference._substeps(Dt)
+    flow = reference._flow(sv, t, Dt, n_sub)
+    edges, (lo, hi) = reference._edges(sv, old.edges, t, Dt, n_sub)
+    base = reference._transport(sv, old.v, flow.cells)
+    G0 = reference._exponent(sv, t, flow.feet, flow.div_feet, old.wv)
+    S0 = (None if sv.model.mutation is None
+          else reference._source(sv, t, flow.feet, old.wv))
+    tol = reference.FIXED_POINT_RTOL * (1.0 + float(pair_sum(old.wv)))
+    u, wu = old.v, old.wv
+    for it in range(reference.MAX_FIXED_POINT_ITER):
+        G1 = reference._exponent(sv, t + Dt, sv.x, flow.div_nodes, wu)
+        wfac = np.exp((G1 + G0) * (0.5 * Dt))
+        v_new = wfac * base
+        if S0 is not None:
+            S1 = reference._source(sv, t + Dt, sv.x, wu)
+            v_new += 0.5 * Dt * (wfac * S0 + S1)
+        v_new[:lo] = 0.0
+        v_new[hi:] = 0.0
+        delta = float(pair_sum(np.abs(v_new - u))) * sv.dx
+        u = v_new
+        wu = _support_weights(v_new, sv.dx) * v_new
+        if delta < tol:
+            sv.iters_max = max(sv.iters_max, it + 1)
+            mn = float(np.min(u))
+            sv.min_seen = min(sv.min_seen, mn)
+            if mn < -1e-10 * max(float(np.max(u)), 1e-300):
+                raise pp.OracleError(
+                    f"negative density {mn:.3e} at t={t + Dt:.6g}")
+            return reference._State(u, wu, edges)
+    return None
+
+
+def _underflowing(K=8e5):
+    """a = 0 and R = -K I on x > 0.5, no mutation.  From mass 1 at
+    Dt = 1e-3, a step's first iterate underflows to 0 on (0.5, 1]; its
+    second, whose I is the halved mass, does not (e^-600); the next step
+    underflows there again.  The zero pattern changes within a step."""
+    def no_field(t, X, I):
+        return np.zeros_like(X)
+
+    def growth(t, X, I):
+        return np.where(X[:, 0] > 0.5, -K * I, 0.0)
+
+    return pp.ModelSpec(
+        name="underflow", dim=1, advection=no_field,
+        advection_div_x=lambda t, X, I: np.zeros(X.shape[0]), growth=growth,
+        kernel_g=pp.constant_kernel(1.0), support_v0=pp.Box([0.0], [1.0]),
+        a_sup=0.0)
+
+
+def _span_case(case, advsel_profile, advsel_model):
+    """(model, profile, config, T, MAX_FIXED_POINT_ITER or None)."""
+    advsel = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 400, dt=1e-2)
+    unit = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=1e-2)
+    if case == "advsel":
+        return advsel_model, advsel_profile, advsel, 0.5, None
+    if case == "advsel-not-autonomous":
+        return (dataclasses.replace(advsel_model, autonomous=False),
+                advsel_profile, advsel, 0.5, None)
+    if case == "halved":
+        return (advsel_model, advsel_profile,
+                dataclasses.replace(advsel, dt=0.1), 1.0, 9)
+    if case == "shrinking":
+        model = pp.build_model("linadv1d", pp.Box([-1.0], [1.0]))
+        prof = pp.build_profile("bump", center=0.0, width=1.0)
+        cfg = pp.ReferenceConfig(x_lo=-1.0, x_hi=1.0, dx=1 / 100, dt=1e-2)
+        return model, prof, cfg, 1.0, None
+    if case == "widening":
+        prof = pp.build_profile("const", value=1.0, lo=0.4, hi=0.6)
+        return _pure_mutation(0.5), prof, unit, 0.2, None
+    prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
+    return (_underflowing(), prof, dataclasses.replace(unit, dt=1e-3), 0.01,
+            None)
+
+
+@pytest.mark.parametrize("case", [
+    "advsel", "advsel-not-autonomous", "halved", "shrinking", "widening",
+    "underflow"])
+def test_support_span_step_changes_no_bit(monkeypatch, advsel_profile,
+                                          advsel_model, case):
+    """The step computed on the support's node range, with the support
+    weights rebuilt only when the zero pattern changes, gives the bytes of
+    the step computed on every node: density, mass history, minimum,
+    iteration maximum and subdivisions."""
+    model, prof, cfg, T, cap = _span_case(case, advsel_profile, advsel_model)
+    if cap is not None:
+        monkeypatch.setattr(reference, "MAX_FIXED_POINT_ITER", cap)
+    span = pp.solve_reference(model, prof, cfg, T)
+    monkeypatch.setattr(reference, "_fixed_point", _full_grid_fixed_point)
+    full = pp.solve_reference(model, prof, cfg, T)
+    assert span.v.tobytes() == full.v.tobytes()
+    assert span.rho_values.tobytes() == full.rho_values.tobytes()
+    assert ((span.min_value, span.fixed_point_iters_max, span.subdivisions)
+            == (full.min_value, full.fixed_point_iters_max,
+                full.subdivisions))
+    assert (span.subdivisions > 0) == (cap is not None)
+
+
+def _weights_built(monkeypatch, model, prof, cfg, T):
+    """The solve, and the count of nonzero nodes of each density that the
+    support weights were built for."""
+    built = []
+
+    def spy(v, dx):
+        built.append(int(np.count_nonzero(v)))
+        return _support_weights(v, dx)
+
+    monkeypatch.setattr(reference, "_support_weights", spy)
+    return pp.solve_reference(model, prof, cfg, T), built
+
+
+def test_support_weights_follow_the_zero_pattern(monkeypatch, advsel_profile,
+                                                 advsel_model):
+    """The underflow case rebuilds the weights for each change of the zero
+    pattern: the initial 51 nodes on [0, 1], the first iterate's 26 on
+    [0, 0.5], the second iterate's 51, and the next step's first iterate's
+    26 again; its second keeps them.  `advsel` keeps one pattern, so its
+    50 steps build the weights once."""
+    prof = pp.build_profile("const", value=1.0, lo=0.0, hi=1.0)
+    cfg = pp.ReferenceConfig(x_lo=0.0, x_hi=1.0, dx=0.02, dt=1e-3)
+    sol, built = _weights_built(monkeypatch, _underflowing(), prof, cfg, 2e-3)
+    assert built == [51, 26, 51, 26]
+    assert sol.fixed_point_iters_max == 2
+    cfg = pp.ReferenceConfig(x_lo=-0.25, x_hi=1.25, dx=1 / 400, dt=1e-2)
+    sol, built = _weights_built(monkeypatch, advsel_model, advsel_profile,
+                                cfg, 0.5)
+    assert len(built) == 1 and sol.fixed_point_iters_max > 1
 
 
 def test_oracle_rejects_unsupported_models(advsel_profile):

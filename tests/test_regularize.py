@@ -287,6 +287,80 @@ def test_support_edge_matches_dense(name):
         assert np.count_nonzero(got) == nonzero
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_column_window_edges_match_dense(name, reverse):
+    """One block of 7 particles against rows 0 and 0.25: one ulp beyond
+    reach on the left, exactly at reach (u = radius for one row), three
+    inside, at reach and one ulp beyond on the right.  The window is the 5
+    columns in reach, so the profile sees 2 x 5 values, and the row sums
+    keep every bit of the dense sum."""
+    phi, eps = CUTOFFS[name], 0.5
+    reach = phi.radius * eps
+    x = np.array([np.nextafter(-reach, -np.inf), -reach, -0.95 * reach, 0.1,
+                  0.25 + 0.95 * reach, 0.25 + reach,
+                  np.nextafter(0.25 + reach, np.inf)])
+    if reverse:
+        x = x[::-1]
+    pos = x[:, None]
+    coef = np.random.default_rng(3).uniform(0.5, 1.5, size=7)
+    grid = np.array([[0.0], [0.25]])
+    counted, calls = _counting(phi)
+    got = _kernel_sum(grid, pos, coef, counted, eps)
+    assert calls == [2 * 5]
+    assert got.tobytes() == _dense_kernel_sum(
+        grid, pos, coef, phi, eps).tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_block_with_no_column_in_reach_is_skipped(name):
+    """An L-shaped set along the two axes of [0, 1]^2 has the unit square
+    for its bounding box, which holds the grid tile near (0.9, 0.9); yet
+    each of its particles is 0.8 or more from the tile on one axis, beyond
+    reach.  The block is skipped without a profile call, and the rows stay
+    +0.0 as in the dense sum."""
+    s = np.linspace(0.0, 1.0, 50)
+    pos = np.concatenate([np.stack([s, 0.0 * s], axis=1),
+                          np.stack([0.0 * s, s], axis=1)])
+    coef = np.random.default_rng(4).normal(size=pos.shape[0])
+    grid = np.random.default_rng(5).uniform(0.8, 1.0, size=(20, 2))
+    phi = CUTOFFS[name]
+    eps = 0.7 / phi.radius
+    counted, calls = _counting(phi)
+    got = _kernel_sum(grid, pos, coef, counted, eps)
+    assert calls == []
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+    assert got.tobytes() == _dense_kernel_sum(
+        grid, pos, coef, phi, eps).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ALL_CUTOFFS)
+def test_signed_and_zero_coefficients_match_dense(d, name):
+    """Signed coefficients on [0, 1]^d, a pair at 2 with coefficients 1.5
+    and -1.5, three zero coefficients at 3, and a far particle at 9 that
+    narrows each block's window.  The row that only the pair reaches sums
+    to exactly 0, and the row that only the zeros reach adds profile
+    values times 0 (gaussian4's are negative there, so the products are
+    -0.0): both read +0.0, as in the dense sum, and every other bit
+    matches too."""
+    rng = np.random.default_rng(6)
+    pos = np.concatenate([rng.uniform(0.0, 1.0, size=(600, d)),
+                          np.full((2, d), 2.0), np.full((3, d), 3.0),
+                          np.full((1, d), 9.0)])
+    coef = np.concatenate([rng.normal(size=600), [1.5, -1.5],
+                           np.zeros(3), [2.0]])
+    pair_row, zero_row = np.full(d, 2.01), np.full(d, 3.0)
+    zero_row[0] = 3.1
+    grid = np.concatenate([rng.uniform(-0.5, 1.5, size=(200, d)),
+                           [pair_row, zero_row, np.full(d, 8.5)]])
+    phi = CUTOFFS[name]
+    got = _kernel_sum(grid, pos, coef, phi, 0.05)
+    assert got.tobytes() == _dense_kernel_sum(
+        grid, pos, coef, phi, 0.05).tobytes()
+    assert np.all(got[200:] == 0.0) and not np.any(np.signbit(got[200:]))
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("name", ALL_CUTOFFS)
 def test_far_grid_is_positive_zero_without_profile_calls(d, name):
@@ -300,14 +374,15 @@ def test_far_grid_is_positive_zero_without_profile_calls(d, name):
 
 def test_kernel_sum_skips_most_far_pairs():
     """On a 1D lattice at n = 3200 with eps = h^0.5 and the oracle grid of
-    `converge`, fewer than half of the dense pairs reach the profile."""
+    `converge`, fewer than a quarter of the dense pairs reach the profile
+    (22%: only the columns in reach of each tile are evaluated)."""
     n = 3200
     h = 1.0 / n
     positions = ((np.arange(n) + 0.5) * h)[:, None]
     grid = np.arange(-0.25, 1.25 + 1e-9, 1.0 / 8000)[:, None]
     phi, calls = _counting(CUTOFFS["gaussian"])
     _kernel_sum(grid, positions, np.full(n, h), phi, h ** 0.5)
-    assert 0 < sum(calls) < 0.5 * grid.shape[0] * n
+    assert 0 < sum(calls) < 0.25 * grid.shape[0] * n
 
 
 @pytest.mark.parametrize("where, bad", [
@@ -327,3 +402,13 @@ def test_kernel_sum_rejects_non_finite_particles(where, bad):
         args[where][7] = bad
     with pytest.raises(ValueError, match="finite"):
         _kernel_sum(phi=CUTOFFS["gaussian"], **args)
+
+
+@pytest.mark.parametrize("d, eps", [(1, 1e-320), (2, 1e-160)])
+def test_kernel_sum_rejects_an_eps_whose_scale_overflows(d, eps):
+    """eps^-d must be a float: a smaller eps is refused by name, not left
+    to raise a bare OverflowError."""
+    ens = make_ensemble(30, seed=2, dim=d)
+    grid = np.linspace(0.0, 1.0, 50)[:, None].repeat(d, axis=1)
+    with pytest.raises(ValueError, match=f"eps={eps!r}"):
+        pp.reconstruct(ens, CUTOFFS["gaussian"], eps, grid)
